@@ -51,6 +51,15 @@ cargo build --offline -p unidrive-bench --all-targets
 # the root release build alone does not produce them.
 cargo build --offline --release -p unidrive-bench
 
+echo "==> release examples run to completion"
+# Each example asserts its own outcome: devices converge, and
+# real_directories also checks that metadata on disk is encrypted and
+# that an idle pass is a no-op. A failed assertion exits non-zero.
+for example in quickstart outage_failover membership_change real_directories; do
+    echo "    $example"
+    cargo run --offline -q --release --example "$example" >/dev/null
+done
+
 echo "==> clippy on the whole workspace (deny warnings)"
 # rustup-managed toolchains ship clippy; if this toolchain has none,
 # report and continue rather than failing an otherwise green run.

@@ -20,16 +20,15 @@
 //!   `unidrive_util::pool::WorkerPool` (both cut discovery and
 //!   per-segment work ride the pool, as in `DataPlane`)
 //!
-//! Per-iteration wall-clock nanoseconds are kept as exact samples and
-//! `p50_ns`/`p95_ns` are computed from the sorted sample array.
+//! Rows are timed by `unidrive_bench::microbench::sample`, shared with
+//! `s3_bench`: per-iteration wall-clock nanoseconds are kept as exact
+//! samples and `p50_ns`/`p95_ns` are exact ranks of the sorted array.
 //! (Earlier revisions read the percentiles off the `unidrive-obs`
 //! log₂ histogram, whose quantile returns its bucket's *upper bound*
 //! `2^k - 1`; with power-of-two payloads that collapses every row's
 //! p50/p95 to `bytes - 1` — a coarse bucket artifact, not a latency.)
-//! Each sample is still recorded into the obs histogram so the export
-//! machinery stays exercised. Results export as JSON with a fixed
-//! schema and row order — values are wall clock and vary run to run,
-//! the *shape* never does.
+//! Results export as JSON with a fixed schema and row order — values
+//! are wall clock and vary run to run, the *shape* never does.
 //!
 //! Usage: `bench_kernels [--quick|quick] [--out PATH]`
 //! (default out: `BENCH_kernels.json`), or
@@ -39,15 +38,15 @@
 //! the dumps.
 
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
+use std::time::Duration;
+
+use unidrive_bench::microbench::{sample, Sampled};
 
 use unidrive_chunker::{
     cut_points, cut_points_parallel, ChunkerConfig, GearHash, RabinHash,
 };
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
-use unidrive_obs::{Obs, Registry};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::pool::WorkerPool;
 use unidrive_workload::random_bytes;
@@ -57,83 +56,37 @@ struct Row {
     kernel: &'static str,
     bytes: usize,
     threads: usize,
-    iters: u64,
-    mb_per_s: f64,
-    mean_ns: u64,
-    p50_ns: u64,
-    p95_ns: u64,
+    t: Sampled,
 }
 
 struct Harness {
-    obs: Obs,
     /// Per-row time budget.
-    budget: std::time::Duration,
+    budget: Duration,
     rows: Vec<Row>,
-}
-
-/// Exact rank-`q` percentile of the (sorted in place) samples:
-/// the ⌈q·n⌉-th smallest observation, an actual measured value rather
-/// than a histogram bucket bound.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 impl Harness {
     fn new(quick: bool) -> Self {
-        let registry = Registry::new();
-        let epoch = Instant::now();
-        registry.set_clock(move || epoch.elapsed().as_nanos() as u64);
         Harness {
-            obs: Obs::with_registry(registry),
-            budget: std::time::Duration::from_millis(if quick { 120 } else { 500 }),
+            budget: Duration::from_millis(if quick { 120 } else { 500 }),
             rows: Vec::new(),
         }
     }
 
-    /// Times `f` until the row budget is spent (≥ 3 iterations), with
-    /// one untimed warm-up. `bytes` is the payload a single iteration
-    /// processes; `threads` is a reporting tag.
-    fn row<T>(
-        &mut self,
-        kernel: &'static str,
-        bytes: usize,
-        threads: usize,
-        mut f: impl FnMut() -> T,
-    ) {
-        black_box(f());
-        let name = format!("bench.{kernel}.{bytes}.{threads}");
-        let start = Instant::now();
-        let mut samples: Vec<u64> = Vec::with_capacity(256);
-        while samples.len() < 3 || (start.elapsed() < self.budget && samples.len() < 10_000) {
-            let t0 = Instant::now();
-            black_box(f());
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.obs.observe(&name, ns);
-            samples.push(ns);
-        }
-        let iters = samples.len() as u64;
-        let mean_ns = samples.iter().sum::<u64>() as f64 / iters as f64;
-        samples.sort_unstable();
-        let row = Row {
+    /// Times `f` through [`sample`]. `bytes` is the payload a single
+    /// iteration processes; `threads` is a reporting tag.
+    fn row<T>(&mut self, kernel: &'static str, bytes: usize, threads: usize, f: impl FnMut() -> T) {
+        let t = sample(self.budget, bytes, f);
+        println!(
+            "{kernel:<24} {bytes:>10} B {threads:>2} thr {:>6} it {:>10.1} MiB/s  (mean {:>9} ns, p50 {:>9}, p95 {:>9})",
+            t.iters, t.mb_per_s, t.mean_ns, t.p50_ns, t.p95_ns
+        );
+        self.rows.push(Row {
             kernel,
             bytes,
             threads,
-            iters,
-            mb_per_s: bytes as f64 / (mean_ns / 1e9).max(1e-12) / (1024.0 * 1024.0),
-            mean_ns: mean_ns as u64,
-            p50_ns: percentile(&samples, 0.50),
-            p95_ns: percentile(&samples, 0.95),
-        };
-        println!(
-            "{:<24} {:>10} B {:>2} thr {:>6} it {:>10.1} MiB/s  (mean {:>9} ns, p50 {:>9}, p95 {:>9})",
-            row.kernel, row.bytes, row.threads, row.iters, row.mb_per_s, row.mean_ns, row.p50_ns,
-            row.p95_ns
-        );
-        self.rows.push(row);
+            t,
+        });
     }
 
     fn to_json(&self, mode: &str) -> String {
@@ -149,7 +102,14 @@ impl Harness {
                 out,
                 "\n{{\"kernel\": \"{}\", \"bytes\": {}, \"threads\": {}, \"iters\": {}, \
                  \"mb_per_s\": {:.2}, \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}}}",
-                r.kernel, r.bytes, r.threads, r.iters, r.mb_per_s, r.mean_ns, r.p50_ns, r.p95_ns
+                r.kernel,
+                r.bytes,
+                r.threads,
+                r.t.iters,
+                r.t.mb_per_s,
+                r.t.mean_ns,
+                r.t.p50_ns,
+                r.t.p95_ns
             );
         }
         out.push_str("\n]\n}\n");

@@ -24,8 +24,9 @@
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use unidrive_bench::microbench::{sample, Sampled};
 use unidrive_cloud::{CloudStore, MockS3, S3Cloud, S3Endpoint};
 use unidrive_sim::{RealRuntime, Runtime};
 use unidrive_util::bytes::Bytes;
@@ -34,20 +35,7 @@ use unidrive_workload::random_bytes;
 struct Row {
     op: &'static str,
     bytes: usize,
-    iters: u64,
-    mb_per_s: f64,
-    mean_ns: u64,
-    p50_ns: u64,
-    p95_ns: u64,
-}
-
-/// Exact rank-`q` percentile of the (sorted) samples.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    t: Sampled,
 }
 
 struct Harness {
@@ -56,34 +44,15 @@ struct Harness {
 }
 
 impl Harness {
-    /// Times `f` until the row budget is spent (≥ 3 iterations), with
-    /// one untimed warm-up. `bytes` is the payload one iteration moves.
-    fn row<T>(&mut self, op: &'static str, bytes: usize, mut f: impl FnMut() -> T) {
-        black_box(f());
-        let start = Instant::now();
-        let mut samples: Vec<u64> = Vec::with_capacity(256);
-        while samples.len() < 3 || (start.elapsed() < self.budget && samples.len() < 10_000) {
-            let t0 = Instant::now();
-            black_box(f());
-            samples.push(t0.elapsed().as_nanos() as u64);
-        }
-        let iters = samples.len() as u64;
-        let mean_ns = samples.iter().sum::<u64>() as f64 / iters as f64;
-        samples.sort_unstable();
-        let row = Row {
-            op,
-            bytes,
-            iters,
-            mb_per_s: bytes as f64 / (mean_ns / 1e9).max(1e-12) / (1024.0 * 1024.0),
-            mean_ns: mean_ns as u64,
-            p50_ns: percentile(&samples, 0.50),
-            p95_ns: percentile(&samples, 0.95),
-        };
+    /// Times `f` through [`sample`]; `bytes` is the payload one
+    /// iteration moves.
+    fn row<T>(&mut self, op: &'static str, bytes: usize, f: impl FnMut() -> T) {
+        let t = sample(self.budget, bytes, f);
         println!(
-            "{:<14} {:>9} B {:>6} it {:>10.1} MiB/s  (mean {:>9} ns, p50 {:>9}, p95 {:>9})",
-            row.op, row.bytes, row.iters, row.mb_per_s, row.mean_ns, row.p50_ns, row.p95_ns
+            "{op:<14} {bytes:>9} B {:>6} it {:>10.1} MiB/s  (mean {:>9} ns, p50 {:>9}, p95 {:>9})",
+            t.iters, t.mb_per_s, t.mean_ns, t.p50_ns, t.p95_ns
         );
-        self.rows.push(row);
+        self.rows.push(Row { op, bytes, t });
     }
 
     fn to_json(&self, mode: &str) -> String {
@@ -99,7 +68,7 @@ impl Harness {
                 out,
                 "\n{{\"op\": \"{}\", \"bytes\": {}, \"iters\": {}, \
                  \"mb_per_s\": {:.2}, \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}}}",
-                r.op, r.bytes, r.iters, r.mb_per_s, r.mean_ns, r.p50_ns, r.p95_ns
+                r.op, r.bytes, r.t.iters, r.t.mb_per_s, r.t.mean_ns, r.t.p50_ns, r.t.p95_ns
             );
         }
         out.push_str("\n]\n}\n");

@@ -169,8 +169,10 @@ pub fn systems_at_observed(
 
 /// Minimal micro-benchmark harness (replaces Criterion so the
 /// workspace builds offline with zero external crates). Each sample
-/// times one call of the closure; results print as
-/// `name  mean (min..max)  [throughput]`.
+/// times one call of the closure. [`run`](microbench::run) takes a
+/// fixed sample count and prints `name  mean (min..max)  [throughput]`;
+/// [`sample`](microbench::sample) spends a time budget and returns
+/// exact-rank percentiles for the `BENCH_*.json` row binaries.
 pub mod microbench {
     use std::hint::black_box;
     use std::time::{Duration, Instant};
@@ -242,6 +244,56 @@ pub mod microbench {
             fmt(result.max),
         );
         result
+    }
+
+    /// Exact rank-`q` percentile of the sorted samples: the ⌈q·n⌉-th
+    /// smallest observation, an actual measured value rather than a
+    /// histogram bucket bound. 0 for no samples.
+    pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    /// Wall-clock summary of one [`sample`] run.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Sampled {
+        /// Timed iterations.
+        pub iters: u64,
+        /// `bytes` per mean iteration, in MiB/s.
+        pub mb_per_s: f64,
+        /// Mean iteration time.
+        pub mean_ns: u64,
+        /// Median iteration time.
+        pub p50_ns: u64,
+        /// 95th-percentile iteration time.
+        pub p95_ns: u64,
+    }
+
+    /// Times `f` after one untimed warm-up until `budget` is spent,
+    /// taking at least 3 and at most 10 000 samples. `bytes` is the
+    /// payload one iteration processes (0 for none).
+    pub fn sample<T>(budget: Duration, bytes: usize, mut f: impl FnMut() -> T) -> Sampled {
+        black_box(f());
+        let start = Instant::now();
+        let mut samples: Vec<u64> = Vec::with_capacity(256);
+        while samples.len() < 3 || (start.elapsed() < budget && samples.len() < 10_000) {
+            let t0 = Instant::now();
+            black_box(f());
+            samples.push(t0.elapsed().as_nanos() as u64);
+        }
+        let iters = samples.len() as u64;
+        let mean_ns = samples.iter().sum::<u64>() as f64 / iters as f64;
+        samples.sort_unstable();
+        Sampled {
+            iters,
+            mb_per_s: bytes as f64 / (mean_ns / 1e9).max(1e-12) / (1024.0 * 1024.0),
+            mean_ns: mean_ns as u64,
+            p50_ns: percentile(&samples, 0.50),
+            p95_ns: percentile(&samples, 0.95),
+        }
     }
 }
 

@@ -1,16 +1,19 @@
 //! Builder-composed decorator stacks over any [`CloudStore`].
 //!
-//! Call sites used to hand-nest decorators (`SimCloud` →
-//! `ChaosCloud` → `ObservedCloud` → ...), each picking its own order —
-//! and order matters: retries *outside* the fault injector see (and
-//! absorb) injected failures, observation *outside* everything times
-//! what the caller actually experienced, and rate shaping belongs
-//! *inside* chaos so throttle delays can themselves be disturbed.
-//! [`CloudBuilder`] fixes the canonical order once:
+//! Order matters: observation *outside* everything times what the
+//! caller actually experienced (injected faults included), and rate
+//! shaping belongs *inside* chaos so throttle delays can themselves be
+//! disturbed and an injected rejection costs no token.
+//! [`CloudBuilder`] is the one construction path and fixes the
+//! canonical order once:
 //!
 //! ```text
-//! base → QpsShaper → ChaosCloud → RetryCloud → ObservedCloud
+//! base → QpsShaper → ChaosCloud → ObservedCloud
 //! ```
+//!
+//! Retry is deliberately not a stage: the sync engine and the
+//! call-site [`Retry`](crate::Retry) own it, so a store-level loop
+//! would double every retry.
 //!
 //! Every stage is optional; setters may be called in any order and the
 //! stack still composes canonically. [`build`](CloudBuilder::build)
@@ -22,12 +25,12 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use unidrive_cloud::{CloudBuilder, CloudStore, FaultPlan, MemCloud, RetryPolicy};
+//! use unidrive_cloud::{CloudBuilder, CloudStore, FaultPlan, MemCloud};
 //! use unidrive_sim::{RealRuntime, Runtime};
 //!
 //! let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
 //! let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
-//!     .retry(RetryPolicy::no_retries())
+//!     .qps(100, 10)
 //!     .chaos(&FaultPlan::new(7), "demo")
 //!     .build();
 //! assert_eq!(built.store.name(), "m");
@@ -41,7 +44,6 @@ use unidrive_sim::Runtime;
 
 use crate::health::CloudHealth;
 use crate::qps::QpsShaper;
-use crate::retry::{RetryCloud, RetryPolicy};
 use crate::{ChaosCloud, CloudStore, FaultPlan, ObservedCloud};
 
 /// The composed stack plus handles to stages that stay interactive.
@@ -71,7 +73,6 @@ pub struct CloudBuilder {
     base: Arc<dyn CloudStore>,
     qps: Option<(u64, u64)>,
     chaos: Option<(FaultPlan, String)>,
-    retry: Option<RetryPolicy>,
     observed: Option<Arc<CloudHealth>>,
     obs: Option<Obs>,
 }
@@ -82,7 +83,6 @@ impl std::fmt::Debug for CloudBuilder {
             .field("base", &self.base.name())
             .field("qps", &self.qps.is_some())
             .field("chaos", &self.chaos.is_some())
-            .field("retry", &self.retry.is_some())
             .field("observed", &self.observed.is_some())
             .finish()
     }
@@ -97,7 +97,6 @@ impl CloudBuilder {
             base,
             qps: None,
             chaos: None,
-            retry: None,
             observed: None,
             obs: None,
         }
@@ -118,12 +117,6 @@ impl CloudBuilder {
         self
     }
 
-    /// Adds a store-level retry loop around everything below it.
-    pub fn retry(mut self, policy: RetryPolicy) -> CloudBuilder {
-        self.retry = Some(policy);
-        self
-    }
-
     /// Adds outermost latency/health observation feeding `health`.
     pub fn observed(mut self, health: Arc<CloudHealth>) -> CloudBuilder {
         self.observed = Some(health);
@@ -131,8 +124,8 @@ impl CloudBuilder {
     }
 
     /// Attaches observability to the stages that emit it: installed on
-    /// the chaos stage, used by retry counters and the observed
-    /// stage's series. Without it those stages run silent.
+    /// the chaos stage and used by the observed stage's series. Without
+    /// it those stages run silent.
     pub fn obs(mut self, obs: &Obs) -> CloudBuilder {
         self.obs = Some(obs.clone());
         self
@@ -141,7 +134,6 @@ impl CloudBuilder {
     /// Composes the stack in canonical order and returns it with the
     /// interactive stage handles.
     pub fn build(self) -> BuiltCloud {
-        let obs = self.obs.clone().unwrap_or_else(Obs::noop);
         let mut store = self.base;
         if let Some((rate, burst)) = self.qps {
             store = Arc::new(QpsShaper::new(store, Arc::clone(&self.rt), rate, burst));
@@ -154,85 +146,20 @@ impl CloudBuilder {
                 plan,
                 salt,
             ));
-            if self.obs.is_some() {
+            if let Some(obs) = &self.obs {
                 chaos.install_obs(obs.clone());
             }
             chaos_handle = Some(Arc::clone(&chaos));
             store = chaos;
         }
-        if let Some(policy) = self.retry {
-            store = Arc::new(RetryCloud::new(
-                store,
-                Arc::clone(&self.rt),
-                policy,
-                obs.clone(),
-            ));
-        }
         if let Some(health) = self.observed {
+            let obs = self.obs.unwrap_or_else(Obs::noop);
             store = Arc::new(ObservedCloud::new(store, Arc::clone(&self.rt), health, obs));
         }
         BuiltCloud {
             store,
             chaos: chaos_handle,
         }
-    }
-}
-
-/// Free-function constructors predating [`CloudBuilder`], kept as thin
-/// shims for one PR so downstream call sites migrate at their own
-/// pace. Each composes exactly one builder stage.
-pub mod shims {
-    use super::*;
-
-    /// Wrap `inner` in request-rate shaping.
-    #[deprecated(note = "compose via CloudBuilder::qps")]
-    pub fn shaped(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        rate_per_sec: u64,
-        burst: u64,
-    ) -> Arc<dyn CloudStore> {
-        CloudBuilder::new(rt, inner).qps(rate_per_sec, burst).build().store
-    }
-
-    /// Wrap `inner` in seeded fault injection.
-    #[deprecated(note = "compose via CloudBuilder::chaos")]
-    pub fn chaotic(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        plan: &FaultPlan,
-        salt: &str,
-    ) -> Arc<ChaosCloud> {
-        CloudBuilder::new(rt, inner)
-            .chaos(plan, salt)
-            .build()
-            .chaos
-            .expect("chaos stage was configured")
-    }
-
-    /// Wrap `inner` in a store-level retry loop.
-    #[deprecated(note = "compose via CloudBuilder::retry")]
-    pub fn retrying(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        policy: RetryPolicy,
-    ) -> Arc<dyn CloudStore> {
-        CloudBuilder::new(rt, inner).retry(policy).build().store
-    }
-
-    /// Wrap `inner` in outermost health observation.
-    #[deprecated(note = "compose via CloudBuilder::observed")]
-    pub fn observed(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        health: Arc<CloudHealth>,
-        obs: &Obs,
-    ) -> Arc<dyn CloudStore> {
-        CloudBuilder::new(rt, inner)
-            .observed(health)
-            .obs(obs)
-            .build()
-            .store
     }
 }
 
@@ -246,6 +173,15 @@ mod tests {
 
     fn rt() -> Arc<dyn Runtime> {
         SimRuntime::new(0xb111d).as_runtime()
+    }
+
+    fn always_transient() -> FaultPlan {
+        let mut plan = FaultPlan::new(0x5eed);
+        plan.push(FaultEvent::always(
+            "m",
+            FaultKind::TransientBurst { probability: 1.0 },
+        ));
+        plan
     }
 
     #[test]
@@ -262,67 +198,52 @@ mod tests {
 
     #[test]
     fn canonical_order_is_independent_of_setter_order() {
-        // Retry outside chaos: a retryable injected failure must be
-        // absorbed even though .retry() was configured before .chaos().
-        let rt = rt();
-        let mut plan = FaultPlan::new(0x5eed);
-        plan.push(FaultEvent::always(
-            "m",
-            FaultKind::TransientBurst { probability: 1.0 },
-        ));
+        // Shaping inside chaos even though .chaos() was configured
+        // before .qps(): the injector rejects every op before reaching
+        // the shaper, so a 1 op/s bucket with a burst of 1 never makes
+        // the caller wait. Were the shaper outside, ops 2..10 would
+        // each sleep ~1 s of virtual time.
+        let sim = SimRuntime::new(0xb111d);
+        let rt = sim.clone().as_runtime();
         let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
-            .retry(RetryPolicy {
-                max_attempts: 50,
-                initial_backoff: std::time::Duration::from_millis(1),
-                max_backoff: std::time::Duration::from_millis(1),
-            })
-            .chaos(&plan, "t")
+            .chaos(&always_transient(), "t")
+            .qps(1, 1)
             .build();
-        // With p = 1.0 the op ultimately fails, but if (and only if)
-        // the retry layer sits outside the injector, every one of the
-        // 50 attempts reaches it and is counted as an injected fault.
-        let chaos = built.chaos.as_ref().unwrap();
-        let err = built.store.upload("f", Bytes::from_static(b"x")).unwrap_err();
-        assert!(matches!(err, CloudError::Transient { .. }));
-        assert!(chaos.injected_faults() >= 50, "retry sat outside chaos");
+        let t0 = sim.now();
+        for i in 0..10 {
+            let err = built
+                .store
+                .upload(&format!("f{i}"), Bytes::from_static(b"x"))
+                .unwrap_err();
+            assert!(matches!(err, CloudError::Transient { .. }));
+        }
+        assert_eq!(sim.now(), t0, "shaper sat outside chaos");
+        assert_eq!(built.chaos.as_ref().unwrap().injected_faults(), 10);
     }
 
     #[test]
     fn observed_stage_is_outermost_and_health_sees_failures() {
-        let rt = rt();
-        let mut plan = FaultPlan::new(9);
-        plan.push(FaultEvent::always(
-            "m",
-            FaultKind::TransientBurst { probability: 1.0 },
-        ));
+        let sim = SimRuntime::new(0xb111d);
+        let rt = sim.clone().as_runtime();
         let health = CloudHealth::new("m", HealthConfig::default());
         let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
-            .chaos(&plan, "t")
             .observed(Arc::clone(&health))
+            .chaos(&always_transient(), "t")
             .build();
-        let _ = built.store.upload("f", Bytes::from_static(b"x"));
+        for i in 0..5 {
+            assert!(built
+                .store
+                .upload(&format!("f{i}"), Bytes::from_static(b"x"))
+                .is_err());
+        }
+        health.finish(sim.now().as_nanos());
         let tracker = health.tracker();
-        assert_eq!(tracker.name(), "m");
-    }
-
-    #[test]
-    fn deprecated_shims_still_compose() {
-        #![allow(deprecated)]
-        let rt = rt();
-        let shaped = shims::shaped(Arc::new(MemCloud::new("m")), &rt, 1000, 100);
-        shaped.upload("f", Bytes::from_static(b"x")).unwrap();
-        let retried = shims::retrying(shaped, &rt, RetryPolicy::no_retries());
-        assert_eq!(retried.download("f").unwrap(), Bytes::from_static(b"x"));
-        let chaos = shims::chaotic(
-            Arc::new(MemCloud::new("m")),
-            &rt,
-            &FaultPlan::new(3),
-            "s",
-        );
-        assert_eq!(chaos.injected_faults(), 0);
-        let health = CloudHealth::new("m", HealthConfig::default());
-        let obs = Obs::noop();
-        let observed = shims::observed(Arc::new(MemCloud::new("m")), &rt, health, &obs);
-        assert_eq!(observed.name(), "m");
+        // Only an observer outside the injector sees the failures.
+        let window = tracker
+            .timeline()
+            .first()
+            .expect("observer saw no ops: it sits inside the injector");
+        assert_eq!((window.ops, window.errors), (5, 5));
+        assert_eq!(tracker.state(), crate::HealthState::Down);
     }
 }

@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -31,10 +31,11 @@ use unidrive_sim::{Notifier, Runtime};
 const MAX_LINE: usize = 64 * 1024;
 /// Maximum number of headers in one message head.
 const MAX_HEADERS: usize = 128;
-/// Socket read timeout: a hung peer surfaces as a timeout error (which
-/// the cloud layer maps to a retryable transient) instead of wedging a
-/// worker forever.
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Bound on every client socket wait — each dial, read and write: a
+/// hung or stalled peer surfaces as a timeout error (which the cloud
+/// layer maps to a retryable transient) instead of wedging a worker
+/// forever.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// Bodies at or above this size are written with chunked
 /// transfer-encoding by [`write_response`] when `chunked` is requested.
 const CHUNK_SIZE: usize = 64 * 1024;
@@ -487,8 +488,9 @@ impl HttpClient {
     }
 
     fn connect(&self) -> io::Result<Conn> {
-        let stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        let stream = dial(&self.addr)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(Conn {
             reader: BufReader::with_capacity(64 * 1024, stream),
@@ -589,10 +591,36 @@ impl HttpClient {
     }
 }
 
+/// Resolves `addr` and dials each of its addresses in turn, each dial
+/// bounded by [`IO_TIMEOUT`]; returns the first connection that opens,
+/// else the last dial error.
+fn dial(addr: &str) -> io::Result<TcpStream> {
+    let mut last = None;
+    for sa in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&sa, IO_TIMEOUT) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| invalid("address resolved to nothing")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::net::TcpListener;
+
+    #[test]
+    fn pooled_connections_bound_reads_and_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let rt: Arc<dyn Runtime> = Arc::new(unidrive_sim::RealRuntime::new());
+        let client = HttpClient::new(&rt, &listener.local_addr().unwrap().to_string(), 1);
+        let conn = client.checkout().unwrap();
+        let stream = conn.reader.get_ref();
+        assert_eq!(stream.read_timeout().unwrap(), Some(IO_TIMEOUT));
+        assert_eq!(stream.write_timeout().unwrap(), Some(IO_TIMEOUT));
+    }
 
     #[test]
     fn request_roundtrip_content_length() {

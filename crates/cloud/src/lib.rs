@@ -14,19 +14,17 @@
 //! * [`ChaosCloud`] / [`FaultPlan`] — deterministic scheduled fault
 //!   injection (transient bursts, outages, quota exhaustion, latency
 //!   spikes, torn uploads, delayed visibility) over any store.
-//! * [`ThrottledCloud`], [`CountingCloud`] — composable decorators for
-//!   bandwidth limiting and traffic accounting.
-//! * [`ObservedCloud`] / [`CloudHealth`] / [`HealthBoard`] — the
-//!   measurement decorator and per-cloud health scoreboard (EWMA
-//!   latency, windowed error rate, availability state machine).
-//! * [`Retry`] / [`RetryPolicy`] / [`RetryCloud`] — bounded-backoff
-//!   retries for transient Web API failures, per call site or as a
-//!   store decorator.
+//! * [`ObservedCloud`] / [`CloudHealth`] / [`HealthBoard`] — the one
+//!   client-side accounting decorator and per-cloud health scoreboard
+//!   (EWMA latency, windowed error rate, availability state machine).
 //! * [`TokenBucket`] / [`QpsSeries`] / [`QpsShaper`] — deterministic
 //!   per-cloud request-rate shaping and accounting, shared by the
-//!   fleet simulator and the store interface.
-//! * [`CloudBuilder`] — composes the decorators above in one canonical
-//!   order (base → qps → chaos → retry → observed).
+//!   fleet simulator and the store interface; the one throttle.
+//! * [`CloudBuilder`] — the one construction path for decorator
+//!   stacks, in canonical order (base → qps → chaos → observed).
+//! * [`Retry`] / [`RetryPolicy`] — bounded-backoff retries for
+//!   transient Web API failures, applied per call site by the sync
+//!   engine rather than as a store decorator.
 //! * [`S3Cloud`] / [`MockS3`] — a real HTTP backend speaking the
 //!   S3-compatible REST dialect over the std-only pooled
 //!   [`http::HttpClient`], plus the in-process server the integration
@@ -52,9 +50,8 @@ mod retry;
 mod s3;
 mod sim_cloud;
 mod store;
-mod wrappers;
 
-pub use builder::{shims, BuiltCloud, CloudBuilder};
+pub use builder::{BuiltCloud, CloudBuilder};
 pub use error::{CloudError, CloudOp};
 pub use fault::{ChaosCloud, FaultEvent, FaultKind, FaultPlan};
 pub use health::{
@@ -66,10 +63,9 @@ pub use mem::MemCloud;
 pub use mock_s3::MockS3;
 pub use observed::ObservedCloud;
 pub use qps::{QpsSeries, QpsShaper, TokenBucket};
-pub use retry::{Retry, RetryCloud, RetryPolicy};
+pub use retry::{Retry, RetryPolicy};
 pub use s3::{S3Cloud, S3Endpoint};
 pub use sim_cloud::{FailureProfile, SimCloud, SimCloudConfig, TrafficCounters, TrafficSnapshot};
 pub use store::{
     split_path, validate_path, CloudCaps, CloudId, CloudSet, CloudStore, ObjectInfo,
 };
-pub use wrappers::{CountingCloud, ThrottledCloud};

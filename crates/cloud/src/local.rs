@@ -3,9 +3,9 @@
 //!
 //! Lets the examples and integration tests run the full UniDrive stack —
 //! chunking, erasure coding, quorum locking, scheduling — against real
-//! bytes on disk, with each "cloud" being a separate directory. Combine
-//! with [`ThrottledCloud`](crate::ThrottledCloud) to emulate bandwidth
-//! limits under wall-clock time.
+//! bytes on disk, with each "cloud" being a separate directory. Compose
+//! [`CloudBuilder`](crate::CloudBuilder) stages around it to emulate
+//! request-rate limits or faults under wall-clock time.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -174,8 +174,7 @@ impl QpsSeries {
 /// on the wrapped [`Runtime`] before the request is issued — under
 /// virtual time this is deterministic backpressure, under wall clock
 /// it is real client-side pacing, exactly what a provider's
-/// 429/Retry-After loop converges to. Contrast with
-/// [`ThrottledCloud`](crate::ThrottledCloud), which meters *bytes*.
+/// 429/Retry-After loop converges to.
 pub struct QpsShaper {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,

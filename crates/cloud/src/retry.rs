@@ -16,7 +16,7 @@ use std::time::Duration;
 use unidrive_obs::{Event, Obs, SpanId};
 use unidrive_sim::Runtime;
 
-use crate::{CloudError, CloudStore};
+use crate::CloudError;
 
 /// Bounded exponential backoff policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,118 +207,6 @@ impl<'a> Retry<'a> {
                 }
             }
         }
-    }
-}
-
-/// A [`CloudStore`] decorator running every operation through
-/// [`Retry`] — the store-level home of the retry loop for callers that
-/// compose a whole stack up front (see
-/// [`CloudBuilder`](crate::CloudBuilder)) instead of wrapping each
-/// call site.
-///
-/// Each op retries per the policy with the op name as the retry label,
-/// so `retry.attempts`/`retry.recovered`/`retry.exhausted` counters
-/// and [`Event::RetryAttempt`] events attribute correctly. `append` is
-/// delegated to the inner store inside one retry loop (a retried
-/// composed append re-reads, so a torn first attempt cannot embed a
-/// stale tail).
-pub struct RetryCloud {
-    inner: Arc<dyn CloudStore>,
-    rt: Arc<dyn Runtime>,
-    policy: RetryPolicy,
-    obs: Obs,
-}
-
-impl std::fmt::Debug for RetryCloud {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RetryCloud")
-            .field("inner", &self.inner.name())
-            .field("policy", &self.policy)
-            .finish()
-    }
-}
-
-impl RetryCloud {
-    /// Wraps `inner`, retrying per `policy`. Pass [`Obs::noop`] for a
-    /// silent loop.
-    pub fn new(
-        inner: Arc<dyn CloudStore>,
-        rt: Arc<dyn Runtime>,
-        policy: RetryPolicy,
-        obs: Obs,
-    ) -> RetryCloud {
-        RetryCloud {
-            inner,
-            rt,
-            policy,
-            obs,
-        }
-    }
-
-    fn retry<T>(
-        &self,
-        label: &str,
-        op: impl FnMut() -> Result<T, CloudError>,
-    ) -> Result<T, CloudError> {
-        Retry::new(&self.rt, &self.policy)
-            .obs(&self.obs, label)
-            .run(op)
-    }
-}
-
-impl crate::CloudStore for RetryCloud {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn upload(&self, path: &str, data: unidrive_util::bytes::Bytes) -> Result<(), CloudError> {
-        self.retry("upload", || {
-            self.inner
-                .upload(path, data.clone())
-                .map_err(|e| e.with_op_context(crate::CloudOp::Upload, path))
-        })
-    }
-
-    fn download(&self, path: &str) -> Result<unidrive_util::bytes::Bytes, CloudError> {
-        self.retry("download", || {
-            self.inner
-                .download(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::Download, path))
-        })
-    }
-
-    fn create_dir(&self, path: &str) -> Result<(), CloudError> {
-        self.retry("create_dir", || {
-            self.inner
-                .create_dir(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::CreateDir, path))
-        })
-    }
-
-    fn list(&self, path: &str) -> Result<Vec<crate::ObjectInfo>, CloudError> {
-        self.retry("list", || {
-            self.inner
-                .list(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::List, path))
-        })
-    }
-
-    fn delete(&self, path: &str) -> Result<(), CloudError> {
-        self.retry("delete", || {
-            self.inner
-                .delete(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::Delete, path))
-        })
-    }
-
-    fn append(&self, path: &str, data: unidrive_util::bytes::Bytes) -> Result<(), CloudError> {
-        self.retry("append", || self.inner.append(path, data.clone()))
-    }
-
-    fn caps(&self) -> crate::CloudCaps {
-        // Retrying is semantically transparent and `append` delegates,
-        // so capabilities pass straight through.
-        self.inner.caps()
     }
 }
 

@@ -1,9 +1,10 @@
-//! One conformance suite, four backends.
+//! One conformance suite, four backends and the composed stack.
 //!
 //! `cloud_contract_tests!` (see `unidrive_cloud::contract`) expands the
 //! same behavioral checks against every [`CloudStore`] implementation
-//! the workspace ships: the checks are identical, only the *driver* —
-//! how a fresh store is built and torn down — differs per backend.
+//! the workspace ships, and against a full `CloudBuilder` decorator
+//! stack: the checks are identical, only the *driver* — how a fresh
+//! store is built and torn down — differs.
 //! A backend that needs special semantics gets no carve-outs here;
 //! passing this file is what "implements `CloudStore`" means.
 
@@ -11,8 +12,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use unidrive_cloud::{
-    cloud_contract_tests, CloudStore, LocalDirCloud, MemCloud, MockS3, S3Cloud, S3Endpoint,
-    SimCloud, SimCloudConfig,
+    cloud_contract_tests, CloudBuilder, CloudHealth, CloudStore, FaultPlan, HealthConfig,
+    LocalDirCloud, MemCloud, MockS3, S3Cloud, S3Endpoint, SimCloud, SimCloudConfig,
 };
 use unidrive_sim::{RealRuntime, Runtime, SimRuntime};
 
@@ -67,5 +68,22 @@ mod s3 {
         let endpoint = S3Endpoint::new("s3", server.addr(), "contract-bucket");
         let cloud = S3Cloud::connect(&rt, &endpoint, 2);
         check(&cloud);
+    });
+}
+
+/// Every builder stage over the in-memory backend: a shaper that never
+/// engages, chaos with an empty plan and outermost observation must
+/// leave all five ops (and `append`) semantically transparent.
+mod stack {
+    use super::*;
+
+    cloud_contract_tests!(|check: fn(&dyn CloudStore)| {
+        let rt = SimRuntime::new(0x57ac).as_runtime();
+        let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("stack")))
+            .qps(1_000_000, 1_000_000)
+            .chaos(&FaultPlan::new(1), "contract")
+            .observed(CloudHealth::new("stack", HealthConfig::default()))
+            .build();
+        check(&*built.store);
     });
 }

@@ -115,8 +115,9 @@ pub fn normal_assignment(redundancy: &RedundancyConfig) -> Vec<Vec<u16>> {
 /// [`DataPlaneConfig::retry`] around every Web API call, exactly as it
 /// does for simulated or in-memory members, so wrapping retries here
 /// would double them. Compose
-/// [`CloudBuilder`](unidrive_cloud::CloudBuilder) stages around the
-/// members first if a deployment wants shaping or observation.
+/// [`CloudBuilder`](unidrive_cloud::CloudBuilder) stages (request-rate
+/// shaping, fault injection, observation) around the members first if
+/// a deployment wants them; the builder has no retry stage.
 pub fn s3_cloud_set(
     rt: &std::sync::Arc<dyn unidrive_sim::Runtime>,
     endpoints: &[unidrive_cloud::S3Endpoint],
