@@ -295,4 +295,13 @@ for r in doc["rows"]:
         assert r["mb_per_s"] > 0, r
 EOF
 
+echo "==> bench_sync: builds against the obs span API, tests pass, traced run drops no span"
+# bench_sync is a package of its own (not a workspace member), so the
+# workspace steps above never compile it. A short traced run must keep
+# every span: its per-layer table is computed from the span ring.
+cargo build --offline --release --manifest-path bench_sync/Cargo.toml
+cargo test --offline --manifest-path bench_sync/Cargo.toml -q
+./bench_sync/target/release/bench_sync --workload edit --seed 1 --seconds 4 --trace 1 > "$out/bench_sync.txt"
+grep -Eq '^# trace\.dropped_spans +0\.0000 ' "$out/bench_sync.txt"
+
 echo "CI OK"

@@ -7,7 +7,9 @@
 //!   `sync_once` reported as uploaded is readable, byte-identical, on
 //!   every device after the soak;
 //! * **lock** — at most one quorum-lock holder at any instant (scanned
-//!   from the `LockAcquired`/`LockReleased`/`LockBroken` trace);
+//!   from the `lock.acquire`/`lock.release`/`lock.break` spans);
+//! * **trace** — the span ring dropped nothing, so the lock scan saw
+//!   every lock span;
 //! * **convergence** — once the fault horizon closes, every device's
 //!   `SyncFolderImage` converges to the same encoded bytes;
 //! * **refcounts** — each converged image's segment refcounts match a
@@ -57,7 +59,7 @@ use unidrive_cloud::{
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::MetaMode;
-use unidrive_obs::{Event, Obs, Registry, DEFAULT_SERIES_WINDOW_NS};
+use unidrive_obs::{FieldValue, Obs, Registry, SpanRecord, DEFAULT_SERIES_WINDOW_NS};
 use unidrive_sim::{spawn, SimRng, SimRuntime};
 
 const CLOUDS: usize = 5;
@@ -245,25 +247,13 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
     }) {
         failed.push("durability");
     }
+    // The lock scan reads the ring in end order, so it must run before
+    // `canonicalize` re-sorts the spans by start time.
     let snap = obs.snapshot().expect("registry snapshot");
-    let mut holders: Vec<String> = Vec::new();
-    let mut two_holders = false;
-    for e in &snap.events {
-        match &e.event {
-            Event::LockAcquired { device, .. } => {
-                if !holders.is_empty() && !holders.iter().any(|h| h == device) {
-                    two_holders = true;
-                }
-                if !holders.iter().any(|h| h == device) {
-                    holders.push(device.clone());
-                }
-            }
-            Event::LockReleased { device } => holders.retain(|h| h != device),
-            Event::LockBroken { victim, .. } => holders.retain(|h| h != victim),
-            _ => {}
-        }
+    if snap.dropped_spans > 0 {
+        failed.push("trace");
     }
-    if two_holders {
+    if two_lock_holders(&snap.spans) {
         failed.push("lock");
     }
     if clients.iter().any(|c| {
@@ -285,6 +275,36 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         sync_errors,
         injected: chaos_handles.iter().map(|h| h.injected_faults()).sum(),
         flight,
+    }
+}
+
+/// Whether the quorum lock ever had two holders, scanning `spans` in
+/// ring (end) order: an `ok` `lock.acquire` makes its `device` the
+/// holder, and a `lock.release` of the holder's `device` or a
+/// `lock.break` naming it as `victim` clears it.
+fn two_lock_holders(spans: &[SpanRecord]) -> bool {
+    let mut holder: Option<&str> = None;
+    for span in spans {
+        match span.name {
+            "lock.acquire" if span.attr("ok") == Some(&FieldValue::B(true)) => {
+                let device = str_attr(span, "device");
+                if holder.is_some_and(|h| Some(h) != device) {
+                    return true;
+                }
+                holder = device;
+            }
+            "lock.release" if holder == str_attr(span, "device") => holder = None,
+            "lock.break" if holder == str_attr(span, "victim") => holder = None,
+            _ => {}
+        }
+    }
+    false
+}
+
+fn str_attr<'a>(span: &'a SpanRecord, key: &str) -> Option<&'a str> {
+    match span.attr(key) {
+        Some(FieldValue::S(v)) => Some(v),
+        _ => None,
     }
 }
 
@@ -671,5 +691,80 @@ fn main() {
     }
     if !pass {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(name: &'static str, attrs: &[(&'static str, FieldValue)]) -> SpanRecord {
+        SpanRecord {
+            id: 1,
+            parent: 0,
+            name,
+            track: 0,
+            start_ns: 0,
+            end_ns: 0,
+            attrs: attrs.to_vec(),
+        }
+    }
+
+    fn acquire(device: &str, ok: bool) -> SpanRecord {
+        span(
+            "lock.acquire",
+            &[
+                ("device", FieldValue::S(device.into())),
+                ("ok", FieldValue::B(ok)),
+            ],
+        )
+    }
+
+    fn release(device: &str) -> SpanRecord {
+        span("lock.release", &[("device", FieldValue::S(device.into()))])
+    }
+
+    fn broken(device: &str, victim: &str) -> SpanRecord {
+        span(
+            "lock.break",
+            &[
+                ("device", FieldValue::S(device.into())),
+                ("victim", FieldValue::S(victim.into())),
+            ],
+        )
+    }
+
+    #[test]
+    fn overlapping_acquires_are_a_violation() {
+        let spans = [acquire("dev0", true), acquire("dev1", true)];
+        assert!(two_lock_holders(&spans));
+    }
+
+    #[test]
+    fn release_hands_the_lock_over_cleanly() {
+        let spans = [
+            acquire("dev0", true),
+            release("dev0"),
+            acquire("dev1", true),
+        ];
+        assert!(!two_lock_holders(&spans));
+    }
+
+    #[test]
+    fn failed_acquires_hold_nothing() {
+        let after = [acquire("dev0", true), acquire("dev1", false)];
+        assert!(!two_lock_holders(&after));
+        let before = [acquire("dev1", false), acquire("dev0", true)];
+        assert!(!two_lock_holders(&before));
+    }
+
+    #[test]
+    fn breaking_the_holder_clears_it() {
+        let spans = [
+            acquire("dev0", true),
+            broken("dev1", "dev0"),
+            acquire("dev1", true),
+        ];
+        assert!(!two_lock_holders(&spans));
     }
 }

@@ -15,9 +15,10 @@
 //! precedence where they overlap), so the four columns sum to the wall
 //! time *exactly*. It also prints per-cloud transfer busy time and the
 //! critical path of the slowest round. `--validate` instead checks the
-//! Chrome trace-event shape (non-negative `ts`/`dur`, unique span ids,
-//! every parent id present when no spans were dropped) and exits
-//! non-zero on violations — the ci.sh trace gate.
+//! Chrome trace-event shape (every record a complete `"X"` span,
+//! non-negative `ts`/`dur`, unique span ids, every parent id present
+//! when no spans were dropped) and exits non-zero on violations — the
+//! ci.sh trace gate.
 //!
 //! The JSON parser lives in [`unidrive_bench::json`], shared with
 //! `obs_report` and `bench_compare`: the workspace builds offline with
@@ -62,7 +63,6 @@ impl Span {
 struct Trace {
     spans: Vec<Span>,
     dropped_spans: u64,
-    instant_count: usize,
     /// Shape violations found while loading.
     errors: Vec<String>,
 }
@@ -80,7 +80,6 @@ fn load_trace(text: &str) -> Result<Trace, String> {
     let mut trace = Trace {
         spans: Vec::new(),
         dropped_spans,
-        instant_count: 0,
         errors: Vec::new(),
     };
     for (i, ev) in events.iter().enumerate() {
@@ -90,10 +89,6 @@ fn load_trace(text: &str) -> Result<Trace, String> {
             Some(t) if t >= 0.0 => {}
             Some(t) => trace.errors.push(format!("event {i}: negative ts {t}")),
             None => trace.errors.push(format!("event {i}: missing ts")),
-        }
-        if ph == "i" {
-            trace.instant_count += 1;
-            continue;
         }
         if ph != "X" {
             trace.errors.push(format!("event {i}: unknown ph {ph:?}"));
@@ -220,7 +215,6 @@ fn fmt_ms(us: f64) -> String {
 }
 
 fn report(trace: &Trace) -> ExitCode {
-    let by_id: HashMap<u64, &Span> = trace.spans.iter().map(|s| (s.id, s)).collect();
     let mut children: HashMap<u64, Vec<&Span>> = HashMap::new();
     for s in &trace.spans {
         children.entry(s.parent).or_default().push(s);
@@ -300,10 +294,9 @@ fn report(trace: &Trace) -> ExitCode {
     }
 
     println!(
-        "trace_report: {} spans ({} dropped), {} instant events, {} sync rounds\n",
+        "trace_report: {} spans ({} dropped), {} sync rounds\n",
         trace.spans.len(),
         trace.dropped_spans,
-        trace.instant_count,
         rounds.len()
     );
     println!("{}", table.render());
@@ -362,7 +355,6 @@ fn report(trace: &Trace) -> ExitCode {
                 None => break,
             }
         }
-        let _ = by_id; // id map retained for future lookups
     }
     ExitCode::SUCCESS
 }
@@ -370,10 +362,9 @@ fn report(trace: &Trace) -> ExitCode {
 fn validate(trace: &Trace) -> ExitCode {
     if trace.errors.is_empty() {
         println!(
-            "trace OK: {} spans ({} dropped), {} instant events",
+            "trace OK: {} spans ({} dropped)",
             trace.spans.len(),
-            trace.dropped_spans,
-            trace.instant_count
+            trace.dropped_spans
         );
         ExitCode::SUCCESS
     } else {

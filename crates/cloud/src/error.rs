@@ -30,7 +30,7 @@ impl CloudOp {
     ];
 
     /// Stable lowercase name (`"upload"`, `"download"`, …), matching the
-    /// `op` strings in obs events.
+    /// `op` attribute of `chaos.fault` spans.
     pub fn as_str(self) -> &'static str {
         match self {
             CloudOp::Upload => "upload",

@@ -7,9 +7,9 @@
 //! late — not just a flat per-request coin flip. A [`FaultPlan`] is a
 //! seeded, serializable schedule of such faults; [`ChaosCloud`] applies
 //! the plan to any [`CloudStore`] deterministically (same plan, same
-//! seed ⇒ same injected faults), emitting an
-//! [`Event::FaultInjected`] and `chaos.*` counters for every injection
-//! so invariant checkers can reconcile observed damage against the
+//! seed ⇒ same injected faults), recording a zero-duration
+//! `chaos.fault` span and `chaos.*` counters for every injection so
+//! invariant checkers can reconcile observed damage against the
 //! schedule.
 //!
 //! `ChaosCloud` subsumes the older ad-hoc knobs: a flat per-request
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_obs::{Event, Obs};
+use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, SimRng};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
@@ -65,8 +65,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable taxonomy label, matching the `kind` field of
-    /// [`Event::FaultInjected`].
+    /// Stable taxonomy label, matching the `kind` attribute of the
+    /// `chaos.fault` span.
     pub fn label(&self) -> &'static str {
         match self {
             FaultKind::TransientBurst { .. } => "transient",
@@ -252,8 +252,9 @@ fn escape_json(s: &str) -> String {
 /// latency spike → outage / availability switch → quota (uploads) →
 /// transient roll; torn uploads and delayed visibility act on the
 /// operation itself. Every injection increments
-/// `chaos.{cloud}.injected` and `chaos.{cloud}.{kind}` and traces an
-/// [`Event::FaultInjected`] when an [`Obs`] is installed.
+/// `chaos.{cloud}.injected` and `chaos.{cloud}.{kind}` and records a
+/// zero-duration root `chaos.fault` span (`cloud`, `op`, `kind`) when
+/// an [`Obs`] is installed.
 pub struct ChaosCloud {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,
@@ -332,7 +333,7 @@ impl ChaosCloud {
     }
 
     /// Installs an observability handle for injection counters and
-    /// [`Event::FaultInjected`] traces.
+    /// `chaos.fault` spans.
     pub fn install_obs(&self, obs: Obs) {
         *self.obs.lock() = obs;
     }
@@ -360,11 +361,10 @@ impl ChaosCloud {
             let name = self.inner.name();
             obs.inc(&format!("chaos.{name}.injected"));
             obs.inc(&format!("chaos.{name}.{kind}"));
-            obs.event(|| Event::FaultInjected {
-                cloud: name.to_owned(),
-                op: op.as_str(),
-                kind,
-            });
+            let mut span = obs.span("chaos.fault", None);
+            span.attr_str("cloud", name);
+            span.attr_str("op", op.as_str());
+            span.attr_str("kind", kind);
         }
     }
 
@@ -743,8 +743,8 @@ mod tests {
     }
 
     #[test]
-    fn injections_emit_obs_events_and_counters() {
-        use unidrive_obs::Registry;
+    fn injections_emit_fault_spans_and_counters() {
+        use unidrive_obs::{FieldValue, Registry};
         let (_sim, rt) = sim_rt();
         let plan = FaultPlan::with_events(
             3,
@@ -757,7 +757,11 @@ mod tests {
         let snap = obs.snapshot().unwrap();
         assert_eq!(snap.counter("chaos.c0.injected"), 1);
         assert_eq!(snap.counter("chaos.c0.outage"), 1);
-        assert_eq!(snap.event_count("FaultInjected"), 1);
+        assert_eq!(snap.span_count("chaos.fault"), 1);
+        let fault = &snap.spans[0];
+        assert_eq!(fault.parent, 0);
+        assert_eq!(fault.duration_ns(), 0);
+        assert_eq!(fault.attr("kind"), Some(&FieldValue::S("outage".into())));
     }
 
     #[test]

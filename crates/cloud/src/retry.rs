@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_obs::{Event, Obs, SpanId};
+use unidrive_obs::{Obs, SpanId};
 use unidrive_sim::Runtime;
 
 use crate::CloudError;
@@ -76,9 +76,8 @@ impl Default for RetryPolicy {
 /// sleeping on a [`Runtime`] between attempts, with optional
 /// observability and span causality.
 ///
-/// * [`obs`](Retry::obs) — each re-attempt increments `retry.attempts`,
-///   records the backoff into the `retry.backoff_ns` histogram, and
-///   traces an [`Event::RetryAttempt`] labeled with the operation label;
+/// * [`obs`](Retry::obs) — each re-attempt increments `retry.attempts`
+///   and records the backoff into the `retry.backoff_ns` histogram;
 ///   `retry.recovered` / `retry.exhausted` count how retried operations
 ///   ended.
 /// * [`span`](Retry::span) — every wire attempt becomes a `wire.attempt`
@@ -142,7 +141,7 @@ impl<'a> Retry<'a> {
     }
 
     /// Attaches observability: retry counters, backoff histogram, and
-    /// [`Event::RetryAttempt`] events labeled `label`.
+    /// `wire.attempt` spans labeled `label`.
     pub fn obs(mut self, obs: &'a Obs, label: &'a str) -> Retry<'a> {
         self.obs = Some(obs);
         self.label = label;
@@ -190,11 +189,6 @@ impl<'a> Retry<'a> {
                     let backoff = self.policy.backoff_before(attempt);
                     obs.inc("retry.attempts");
                     obs.observe("retry.backoff_ns", backoff.as_nanos() as u64);
-                    obs.event(|| Event::RetryAttempt {
-                        op: self.label.to_owned(),
-                        attempt,
-                        backoff_ns: backoff.as_nanos() as u64,
-                    });
                     if backoff > Duration::ZERO {
                         self.rt.sleep(backoff);
                     }
@@ -252,7 +246,7 @@ mod tests {
 
     #[test]
     fn observed_retries_count_attempts_and_outcomes() {
-        use unidrive_obs::Registry;
+        use unidrive_obs::{FieldValue, Registry};
         let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
         let obs = Obs::with_registry(Registry::new());
         let policy = RetryPolicy {
@@ -277,7 +271,13 @@ mod tests {
         assert_eq!(snap.counter("retry.attempts"), 4); // 2 + 2 re-attempts
         assert_eq!(snap.counter("retry.recovered"), 1);
         assert_eq!(snap.counter("retry.exhausted"), 1);
-        assert_eq!(snap.event_count("RetryAttempt"), 4);
+        let retried = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "wire.attempt")
+            .filter(|s| matches!(s.attr("attempt"), Some(FieldValue::U(n)) if *n > 1))
+            .count();
+        assert_eq!(retried, 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use unidrive_obs::{Event, Obs};
+use unidrive_obs::Obs;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_sim::{LinkId, LinkProfile, Runtime, SimRng, SimRuntime, Time, TransferError};
@@ -226,9 +226,8 @@ impl SimCloud {
 
     /// Installs an observability handle. Requests are then counted per
     /// cloud (`cloud.{name}.requests_ok`/`requests_failed`/`bytes`, a
-    /// `request_bytes` size histogram) and failures traced as
-    /// [`Event::CloudOpFailed`]. The handle is also installed on the
-    /// engine (see [`SimRuntime::install_obs`]), which points the
+    /// `request_bytes` size histogram). The handle is also installed on
+    /// the engine (see [`SimRuntime::install_obs`]), which points the
     /// registry clock at virtual time so stamps are deterministic.
     pub fn install_obs(&self, obs: Obs) {
         self.sim.install_obs(obs.clone());
@@ -239,16 +238,9 @@ impl SimCloud {
         self.obs.lock().clone()
     }
 
-    fn count_failure(&self, op: &'static str, bytes: u64, transient: bool) {
+    fn count_failure(&self) {
         self.counters.failed_requests.fetch_add(1, Ordering::Relaxed);
-        let obs = self.obs();
-        obs.inc(&format!("cloud.{}.requests_failed", self.name));
-        obs.event(|| Event::CloudOpFailed {
-            cloud: self.name.clone(),
-            op,
-            bytes,
-            transient,
-        });
+        self.obs().inc(&format!("cloud.{}.requests_failed", self.name));
     }
 
     /// Switches the whole service up or down (outage emulation).
@@ -312,24 +304,18 @@ impl SimCloud {
             .any(|&(s, e)| s <= now && now < e)
     }
 
-    fn check_available(&self, op: &'static str) -> Result<(), CloudError> {
+    fn check_available(&self) -> Result<(), CloudError> {
         if self.is_available() {
             Ok(())
         } else {
-            self.count_failure(op, 0, false);
+            self.count_failure();
             Err(CloudError::unavailable(self.name.clone()))
         }
     }
 
     /// Runs one request: decides failure, moves the right number of bytes
     /// over `link`, updates counters.
-    fn request(
-        &self,
-        link: LinkId,
-        op: &'static str,
-        payload: u64,
-        counter: &AtomicU64,
-    ) -> Result<(), CloudError> {
+    fn request(&self, link: LinkId, payload: u64, counter: &AtomicU64) -> Result<(), CloudError> {
         let total = payload + self.overhead;
         let p = self
             .failure
@@ -342,14 +328,14 @@ impl SimCloud {
             let wasted = (total as f64 * fraction) as u64;
             let _ = self.do_transfer(link, wasted);
             counter.fetch_add(wasted, Ordering::Relaxed);
-            self.count_failure(op, payload, true);
+            self.count_failure();
             return Err(CloudError::transient(format!(
                 "request to {} dropped mid-transfer",
                 self.name
             )));
         }
         self.do_transfer(link, total).inspect_err(|_e| {
-            self.count_failure(op, payload, false);
+            self.count_failure();
         })?;
         counter.fetch_add(total, Ordering::Relaxed);
         self.counters.ok_requests.fetch_add(1, Ordering::Relaxed);
@@ -376,24 +362,19 @@ impl CloudStore for SimCloud {
 
     fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
         let run = || {
-            self.check_available("upload")?;
+            self.check_available()?;
             if let Some(quota) = self.quota {
                 let used = self.storage.used_bytes();
                 let needed = data.len() as u64;
                 if used + needed > quota {
-                    self.count_failure("upload", needed, false);
+                    self.count_failure();
                     return Err(CloudError::QuotaExceeded {
                         needed,
                         available: quota.saturating_sub(used),
                     });
                 }
             }
-            self.request(
-                self.up,
-                "upload",
-                data.len() as u64,
-                &self.counters.uploaded_bytes,
-            )?;
+            self.request(self.up, data.len() as u64, &self.counters.uploaded_bytes)?;
             self.storage.upload(path, data.clone())
         };
         run().map_err(|e| e.with_op_context(CloudOp::Upload, path))
@@ -401,18 +382,17 @@ impl CloudStore for SimCloud {
 
     fn download(&self, path: &str) -> Result<Bytes, CloudError> {
         let run = || {
-            self.check_available("download")?;
+            self.check_available()?;
             // The request has to reach the cloud before NotFound can be known.
             let data = match self.storage.download(path) {
                 Ok(d) => d,
                 Err(e) => {
-                    self.request(self.down, "download", 0, &self.counters.downloaded_bytes)?;
+                    self.request(self.down, 0, &self.counters.downloaded_bytes)?;
                     return Err(e);
                 }
             };
             self.request(
                 self.down,
-                "download",
                 data.len() as u64,
                 &self.counters.downloaded_bytes,
             )?;
@@ -423,8 +403,8 @@ impl CloudStore for SimCloud {
 
     fn create_dir(&self, path: &str) -> Result<(), CloudError> {
         let run = || {
-            self.check_available("create_dir")?;
-            self.request(self.up, "create_dir", 0, &self.counters.uploaded_bytes)?;
+            self.check_available()?;
+            self.request(self.up, 0, &self.counters.uploaded_bytes)?;
             self.storage.create_dir(path)
         };
         run().map_err(|e| e.with_op_context(CloudOp::CreateDir, path))
@@ -432,18 +412,17 @@ impl CloudStore for SimCloud {
 
     fn list(&self, path: &str) -> Result<Vec<ObjectInfo>, CloudError> {
         let run = || {
-            self.check_available("list")?;
+            self.check_available()?;
             let entries = match self.storage.list(path) {
                 Ok(e) => e,
                 Err(e) => {
-                    self.request(self.down, "list", 0, &self.counters.downloaded_bytes)?;
+                    self.request(self.down, 0, &self.counters.downloaded_bytes)?;
                     return Err(e);
                 }
             };
             // Listings cost roughly 64 bytes of response per entry.
             self.request(
                 self.down,
-                "list",
                 entries.len() as u64 * 64,
                 &self.counters.downloaded_bytes,
             )?;
@@ -454,8 +433,8 @@ impl CloudStore for SimCloud {
 
     fn delete(&self, path: &str) -> Result<(), CloudError> {
         let run = || {
-            self.check_available("delete")?;
-            self.request(self.up, "delete", 0, &self.counters.uploaded_bytes)?;
+            self.check_available()?;
+            self.request(self.up, 0, &self.counters.uploaded_bytes)?;
             self.storage.delete(path)
         };
         run().map_err(|e| e.with_op_context(CloudOp::Delete, path))

@@ -20,7 +20,7 @@ use unidrive_cloud::CloudSet;
 use unidrive_meta::{
     merge3, MetaMode, MetaPlane, PlaneError, SegmentId, Snapshot, SyncFolderImage, VersionStamp,
 };
-use unidrive_obs::{Event, SpanId};
+use unidrive_obs::SpanId;
 use unidrive_sim::{Runtime, SimRng};
 
 use crate::control::MetaError;
@@ -378,11 +378,6 @@ impl UniDriveClient {
         obs.observe("client.sync_round_ns", elapsed_ns);
         obs.series_add("client.sync_rounds", outcome, 1);
         obs.series_observe("client.sync_round_ns", self.config.device.as_str(), elapsed_ns);
-        obs.event(|| Event::SyncRoundCompleted {
-            device: self.config.device.clone(),
-            outcome,
-            elapsed_ns,
-        });
         result
     }
 

@@ -22,7 +22,7 @@ use std::time::Duration;
 use unidrive_util::sync::Mutex;
 use unidrive_cloud::{CloudError, CloudSet};
 use unidrive_meta::{lock_file_name, parse_lock_name, LOCK_DIR};
-use unidrive_obs::{Event, Obs, SpanId};
+use unidrive_obs::{Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng, Time};
 
 /// Tunables of the lock protocol.
@@ -191,11 +191,6 @@ impl QuorumLock {
                     self.obs.inc("lock.acquired");
                     self.obs.observe("lock.acquire_wait_ns", wait_ns);
                     self.obs.series_observe("lock.wait_ns", &self.device, wait_ns);
-                    self.obs.event(|| Event::LockAcquired {
-                        device: self.device.clone(),
-                        rounds: attempt + 1,
-                        wait_ns,
-                    });
                     span.attr_u64("rounds", (attempt + 1) as u64);
                     span.attr_bool("ok", true);
                     span.end();
@@ -206,14 +201,9 @@ impl QuorumLock {
                         span: span_id,
                     });
                 }
-                RoundOutcome::Lost { held } => {
+                RoundOutcome::Lost => {
                     self.obs.inc("lock.contended_rounds");
                     self.obs.series_add("lock.contended", &self.device, 1);
-                    self.obs.event(|| Event::LockContended {
-                        device: self.device.clone(),
-                        held,
-                        quorum,
-                    });
                     self.withdraw(&lock_name);
                     let cap = self
                         .config
@@ -322,10 +312,6 @@ impl QuorumLock {
                     let _ = cloud.delete(&format!("{LOCK_DIR}/{}", entry.name));
                     bspan.end();
                     self.obs.inc("lock.broken");
-                    self.obs.event(|| Event::LockBroken {
-                        device: self.device.clone(),
-                        victim: device.to_owned(),
-                    });
                 } else {
                     foreign_live = true;
                 }
@@ -340,7 +326,7 @@ impl QuorumLock {
         if held >= quorum {
             RoundOutcome::Won
         } else {
-            RoundOutcome::Lost { held }
+            RoundOutcome::Lost
         }
     }
 
@@ -383,7 +369,7 @@ impl QuorumLock {
 
 enum RoundOutcome {
     Won,
-    Lost { held: usize },
+    Lost,
     Unreachable { reachable: usize },
 }
 
@@ -425,9 +411,6 @@ impl LockGuard<'_> {
         self.lock.withdraw(&self.lock_name);
         self.released = true;
         self.lock.obs.inc("lock.released");
-        self.lock.obs.event(|| Event::LockReleased {
-            device: self.lock.device.clone(),
-        });
     }
 
     /// The `lock.acquire` span of this hold (causal parent for work
@@ -449,9 +432,6 @@ impl Drop for LockGuard<'_> {
             span.attr_str("device", self.lock.device.as_str());
             self.lock.withdraw(&self.lock_name);
             self.lock.obs.inc("lock.released");
-            self.lock.obs.event(|| Event::LockReleased {
-                device: self.lock.device.clone(),
-            });
         }
     }
 }

@@ -1,7 +1,5 @@
 //! Shared data-plane configuration and block-assignment planning.
 
-use std::time::Duration;
-
 use unidrive_chunker::ChunkerConfig;
 use unidrive_cloud::RetryPolicy;
 use unidrive_erasure::RedundancyConfig;
@@ -30,17 +28,6 @@ pub struct DataPlaneConfig {
     /// Enable in-channel probing (download tail duplication onto faster
     /// clouds). Disabling reduces downloads to plain idle-pull.
     pub probing: bool,
-    /// Give up on placing a block after this many failed placements
-    /// across the batch (each failure re-queues it elsewhere first).
-    pub max_block_bounces: u32,
-    /// Download tail-duplication threshold: an idle cloud duplicates a
-    /// block in flight on a cloud at least this many times slower.
-    pub dup_speed_ratio: f64,
-    /// Upper bound on how long an idle transfer-engine worker parks
-    /// before re-polling its policy. `None` (the default) parks until a
-    /// completion or failure actually notifies it — the former 5 ms
-    /// `IDLE_POLL` constant, kept sweepable for ablations.
-    pub idle_wait: Option<Duration>,
     /// Worker threads for the CPU-bound ingest pipeline in
     /// [`DataPlane::upload_files`](crate::DataPlane::upload_files):
     /// cut-point discovery scans disjoint buffer slices on the pool,
@@ -71,9 +58,6 @@ impl DataPlaneConfig {
             overprovisioning: true,
             two_phase: true,
             probing: true,
-            max_block_bounces: 8,
-            dup_speed_ratio: 1.5,
-            idle_wait: None,
             ingest_threads: 1,
             obs: Obs::noop(),
             watchdog: None,
@@ -91,6 +75,11 @@ impl DataPlaneConfig {
         }
     }
 }
+
+/// Upload and download schedulers give up on a block after this many
+/// failed placements across the batch (each failure re-queues it
+/// elsewhere first).
+pub(crate) const MAX_BLOCK_BOUNCES: u32 = 8;
 
 /// Deterministic even assignment of the normal parity blocks: block `i`
 /// of a segment goes to cloud `i mod N`, so every cloud receives exactly

@@ -2,16 +2,15 @@
 //!
 //! The JSON writer is hand-rolled (no external crates) and fully
 //! deterministic: metric maps are exported in sorted (BTreeMap) key
-//! order, events in trace order, floats through Rust's shortest
+//! order, spans in ring order, floats through Rust's shortest
 //! round-trip formatting. Two runs with the same seed therefore
 //! produce byte-identical exports.
 
 use crate::metrics::HistogramSnapshot;
-use crate::span::SpanRecord;
-use crate::trace::{FieldValue, TracedEvent};
+use crate::span::{FieldValue, SpanRecord};
 
-/// Point-in-time copy of a registry: every metric plus the event
-/// trace and the completed-span ring.
+/// Point-in-time copy of a registry: every metric plus the
+/// completed-span ring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Counters, sorted by name.
@@ -20,10 +19,6 @@ pub struct Snapshot {
     pub gauges: Vec<(String, f64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// The event trace, oldest first.
-    pub events: Vec<TracedEvent>,
-    /// Events evicted from the ring before this snapshot.
-    pub dropped_events: u64,
     /// Completed spans, oldest (by end time) first.
     pub spans: Vec<SpanRecord>,
     /// Spans evicted from the span ring before this snapshot.
@@ -66,11 +61,6 @@ impl Snapshot {
             .map(|(_, h)| h)
     }
 
-    /// Number of trace events of the given kind.
-    pub fn event_count(&self, kind: &str) -> usize {
-        self.events.iter().filter(|e| e.event.kind() == kind).count()
-    }
-
     /// The span record with the given id, if present.
     pub fn span(&self, id: u64) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.id == id)
@@ -81,27 +71,12 @@ impl Snapshot {
         self.spans.iter().filter(|s| s.name == name).count()
     }
 
-    /// Sorts the trace into a canonical order: by timestamp, then
-    /// event kind, then field values (spans by start time, end time,
-    /// name, id). Actors that become runnable at the same virtual
-    /// instant may record their events in either order; canonicalizing
-    /// before export makes same-seed runs byte-identical regardless of
-    /// that benign race.
+    /// Sorts the spans into a canonical order: by start time, end
+    /// time, name, then id. Actors that become runnable at the same
+    /// virtual instant may close their spans in either order;
+    /// canonicalizing before export makes same-seed runs byte-identical
+    /// regardless of that benign race.
     pub fn canonicalize(&mut self) {
-        self.events.sort_by_cached_key(|e| {
-            let mut key = format!("{:020}|{}", e.t_ns, e.event.kind());
-            for (name, value) in e.event.fields() {
-                key.push('|');
-                key.push_str(name);
-                key.push('=');
-                match value {
-                    FieldValue::U(v) => key.push_str(&format!("{v:020}")),
-                    FieldValue::B(v) => key.push(if v { '1' } else { '0' }),
-                    FieldValue::S(v) => key.push_str(&v),
-                }
-            }
-            key
-        });
         self.spans.sort_by_cached_key(|s| {
             format!("{:020}|{:020}|{}|{:020}", s.start_ns, s.end_ns, s.name, s.id)
         });
@@ -111,7 +86,7 @@ impl Snapshot {
     /// for the determinism guarantee).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"unidrive-obs/v2\",\n  \"counters\": {");
+        out.push_str("{\n  \"schema\": \"unidrive-obs/v3\",\n  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -150,28 +125,7 @@ impl Snapshot {
             out.push_str("]}");
         }
         out.push_str(&format!(
-            "\n  }},\n  \"dropped_events\": {},\n  \"events\": [",
-            self.dropped_events
-        ));
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"t_ns\": {}, \"type\": \"{}\"",
-                e.t_ns,
-                e.event.kind()
-            ));
-            for (key, value) in e.event.fields() {
-                out.push_str(", ");
-                json_string(&mut out, key);
-                out.push_str(": ");
-                json_field_value(&mut out, &value);
-            }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "\n  ],\n  \"dropped_spans\": {},\n  \"spans\": [",
+            "\n  }},\n  \"dropped_spans\": {},\n  \"spans\": [",
             self.dropped_spans
         ));
         for (i, s) in self.spans.iter().enumerate() {
@@ -226,10 +180,10 @@ pub fn histogram_json(h: &HistogramSnapshot) -> String {
 }
 
 impl Snapshot {
-    /// Serializes the spans (plus events as instants) in Chrome
-    /// trace-event JSON: open the file in Perfetto
-    /// (<https://ui.perfetto.dev>) or `chrome://tracing`. Spans become
-    /// complete (`"ph": "X"`) events with microsecond `ts`/`dur`;
+    /// Serializes the spans in Chrome trace-event JSON: open the file
+    /// in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
+    /// Spans become complete (`"ph": "X"`) events with microsecond
+    /// `ts`/`dur`;
     /// parent links and typed attributes ride in `args`. The writer is
     /// deterministic: canonicalize first and same-seed runs produce
     /// byte-identical files.
@@ -237,15 +191,13 @@ impl Snapshot {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n\"displayTimeUnit\": \"ms\",\n");
         out.push_str(&format!(
-            "\"droppedSpans\": {},\n\"droppedEvents\": {},\n\"traceEvents\": [",
-            self.dropped_spans, self.dropped_events
+            "\"droppedSpans\": {},\n\"traceEvents\": [",
+            self.dropped_spans
         ));
-        let mut first = true;
-        for s in &self.spans {
-            if !first {
+        for (i, s) in self.spans.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             out.push_str(&format!(
                 "\n{{\"name\": \"{}\", \"cat\": \"unidrive\", \"ph\": \"X\", \"pid\": 1, \
                  \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"span_id\": {}, \
@@ -259,27 +211,6 @@ impl Snapshot {
             ));
             for (key, value) in &s.attrs {
                 out.push_str(", ");
-                json_string(&mut out, key);
-                out.push_str(": ");
-                json_field_value(&mut out, value);
-            }
-            out.push_str("}}");
-        }
-        for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n{{\"name\": \"{}\", \"cat\": \"event\", \"ph\": \"i\", \"s\": \"g\", \
-                 \"pid\": 1, \"tid\": 0, \"ts\": {}, \"args\": {{",
-                e.event.kind(),
-                micros(e.t_ns)
-            ));
-            for (i, (key, value)) in e.event.fields().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
                 json_string(&mut out, key);
                 out.push_str(": ");
                 json_field_value(&mut out, value);
@@ -372,7 +303,6 @@ fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Event;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -388,13 +318,6 @@ mod tests {
                     buckets: vec![(1, 1), (4, 1)],
                 },
             )],
-            events: vec![TracedEvent {
-                t_ns: 10,
-                event: Event::LockReleased {
-                    device: "dev-\"a\"".into(),
-                },
-            }],
-            dropped_events: 0,
             spans: vec![
                 SpanRecord {
                     id: 1,
@@ -403,7 +326,7 @@ mod tests {
                     track: 0,
                     start_ns: 5,
                     end_ns: 2_000,
-                    attrs: vec![("device", FieldValue::S("dev".into()))],
+                    attrs: vec![("device", FieldValue::S("dev-\"a\"".into()))],
                 },
                 SpanRecord {
                     id: 2,
@@ -424,7 +347,7 @@ mod tests {
         let a = sample().to_json();
         let b = sample().to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"unidrive-obs/v2\""));
+        assert!(a.contains("\"schema\": \"unidrive-obs/v3\""));
         assert!(a.contains("\"a\": 1"));
         assert!(a.contains("\"whole\": 2.0"));
         assert!(a.contains("dev-\\\"a\\\""));
@@ -462,9 +385,9 @@ mod tests {
         // Child rides its worker track and keeps parentage in args.
         assert!(trace.contains("\"tid\": 3"));
         assert!(trace.contains("\"span_id\": 2, \"parent\": 1"));
-        // Events become global instants.
-        assert!(trace.contains("\"ph\": \"i\""));
-        assert!(trace.contains("\"name\": \"LockReleased\""));
+        // Spans are the only records: every one is a complete event.
+        assert!(!trace.contains("\"ph\": \"i\""));
+        assert_eq!(trace.matches("\"ph\": \"X\"").count(), 2);
         assert_eq!(sample().to_chrome_trace(), trace);
     }
 
@@ -479,21 +402,11 @@ mod tests {
     #[test]
     fn canonicalize_is_order_insensitive() {
         let mut a = sample();
-        a.events.push(TracedEvent {
-            t_ns: 10,
-            event: Event::EpochResampled { epoch: 3 },
-        });
-        a.events.push(TracedEvent {
-            t_ns: 5,
-            event: Event::EpochResampled { epoch: 9 },
-        });
         let mut b = a.clone();
-        b.events.reverse();
         b.spans.reverse();
         a.canonicalize();
         b.canonicalize();
         assert_eq!(a, b);
-        assert_eq!(a.events[0].t_ns, 5);
         assert_eq!(a.spans[0].id, 1, "spans sort by start time");
         assert_eq!(a.to_json(), b.to_json());
     }
@@ -506,6 +419,7 @@ mod tests {
         assert_eq!(s.counter_sum(""), 3);
         assert_eq!(s.gauge("g"), Some(1.5));
         assert_eq!(s.histogram("h").unwrap().count, 2);
-        assert_eq!(s.event_count("LockReleased"), 1);
+        assert_eq!(s.span_count("engine.block"), 1);
+        assert_eq!(s.span(2).map(|sp| sp.name), Some("engine.block"));
     }
 }

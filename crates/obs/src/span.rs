@@ -3,22 +3,32 @@
 //! A span is one timed operation in the sync pipeline (a sync round, a
 //! lock acquisition, a transfer batch, one block attempt). Spans carry
 //! a registry-unique [`SpanId`], an optional parent link, typed
-//! attributes (reusing the event [`FieldValue`] scalar), and start/end
-//! timestamps stamped through the same installable clock as events —
-//! so under simulated time the whole span tree is deterministic and a
-//! same-seed run exports byte-identically.
+//! [`FieldValue`] attributes, and start/end timestamps stamped through
+//! the registry's installable clock — so under simulated time the
+//! whole span tree is deterministic and a same-seed run exports
+//! byte-identically.
 //!
-//! Completed spans land in a bounded ring mirroring the event
-//! `TraceRing`: oldest spans are evicted first and evictions are
-//! counted, never silently lost.
+//! Spans are the crate's only trace record. A moment with no duration
+//! (an injected fault) is a span opened and dropped in place. Completed
+//! spans land in one bounded ring: oldest spans are evicted first and
+//! evictions are counted, never silently lost.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
-use crate::trace::FieldValue;
-
 /// Default span-ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
+
+/// Scalar value of one span attribute.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldValue {
+    /// Unsigned integer.
+    U(u64),
+    /// String.
+    S(String),
+    /// Boolean.
+    B(bool),
+}
 
 /// Identifier of one span within its registry. Ids are allocated from
 /// 1; the value 0 is reserved to mean "no parent" in exports.
@@ -34,7 +44,7 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Stable span name from the taxonomy (`sync.round`,
     /// `lock.acquire`, `engine.batch`, `engine.worker`, `engine.block`,
-    /// `wire.attempt`, `meta.*`, …).
+    /// `wire.attempt`, `meta.*`, `chaos.fault`, …).
     pub name: &'static str,
     /// Display lane for Chrome-trace export (`tid`); 0 is the
     /// client/control lane, engine workers use `slot + 1`.

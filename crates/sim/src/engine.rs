@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_obs::{Event, Obs};
+use unidrive_obs::Obs;
 use unidrive_util::sync::{Condvar, Mutex};
 
 use crate::link::{Flow, LinkId, LinkProfile, LinkState};
@@ -204,10 +204,9 @@ impl SimRuntime {
     /// Installs an observability handle. When `obs` is backed by a
     /// registry, the registry clock is pointed at this engine's virtual
     /// time (through a weak reference, so the registry can outlive the
-    /// engine), making every recorded event deterministic under a fixed
-    /// seed. The engine then counts flows (`sim.flows_*`,
-    /// `sim.flow_bytes`) and epoch re-samples (`sim.epoch_resamples`)
-    /// and traces `FlowStarted`/`FlowFinished`.
+    /// engine), making every span and series stamp deterministic under a
+    /// fixed seed. The engine then counts flows (`sim.flows_*`,
+    /// `sim.flow_bytes`) and epoch re-samples (`sim.epoch_resamples`).
     pub fn install_obs(&self, obs: Obs) {
         if let Some(registry) = obs.registry() {
             let weak = self.weak_self.clone();
@@ -347,14 +346,8 @@ impl SimRuntime {
         if bytes == 0 {
             return Ok(());
         }
-        // Events stamp through the registry clock (which reads engine
-        // state), so they must be recorded while the state lock is free.
         obs.inc("sim.flows_started");
         obs.add("sim.flow_bytes", bytes);
-        obs.event(|| Event::FlowStarted {
-            link: link.0,
-            bytes,
-        });
         let me = self.current_actor();
         let mut st = self.state.lock();
         let now = st.now_ns;
@@ -377,10 +370,6 @@ impl SimRuntime {
             obs.add("sim.epoch_resamples", resampled);
         }
         obs.inc("sim.flows_finished");
-        obs.event(|| Event::FlowFinished {
-            link: link.0,
-            bytes,
-        });
         Ok(())
     }
 

@@ -141,14 +141,15 @@ fn two_device_sync_records_lock_block_and_retry_metrics() {
         .map(|(_, v)| *v)
         .sum();
     assert_eq!(observed_injected, r.injected);
+    assert_eq!(s.span_count("chaos.fault") as u64, r.injected);
     assert!(s.counter("retry.attempts") > 0, "faults but no retries");
     assert!(s.counter("retry.attempts") <= r.injected);
     assert!(s.counter("retry.recovered") > 0, "no retried op recovered");
 
     // The virtual clock stamped the trace (nothing at wall time zero
     // only), and nothing was silently dropped at this capacity.
-    assert_eq!(s.dropped_events, 0);
-    assert!(s.events.iter().any(|e| e.t_ns > 0), "unclocked trace");
+    assert_eq!(s.dropped_spans, 0);
+    assert!(s.spans.iter().any(|sp| sp.end_ns > 0), "unclocked trace");
 }
 
 #[test]
@@ -196,6 +197,10 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
                 assert_eq!(parent_name(sp), "lock.acquire");
             }
             "sync.round" => assert_eq!(sp.parent, 0, "sync.round must be a root"),
+            "chaos.fault" => {
+                assert_eq!(sp.parent, 0, "chaos.fault must be a root");
+                assert_eq!(sp.end_ns, sp.start_ns, "a fault is a zero-duration span");
+            }
             other => panic!("span name {other} missing from the taxonomy check"),
         }
         assert!(sp.end_ns >= sp.start_ns, "{} runs backwards", sp.name);
