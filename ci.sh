@@ -295,13 +295,18 @@ for r in doc["rows"]:
         assert r["mb_per_s"] > 0, r
 EOF
 
-echo "==> bench_sync: builds against the obs span API, tests pass, traced run drops no span"
+echo "==> bench_sync: builds against the obs span API, tests pass, traced run drops no span, bulk run fails no round"
 # bench_sync is a package of its own (not a workspace member), so the
 # workspace steps above never compile it. A short traced run must keep
 # every span: its per-layer table is computed from the span ring.
+# `edit` fetches only 1-2 segments a round; the untraced `bulk` run
+# fetches many segments per batch, so segment decodes overlap block
+# transfers, and every round's byte-for-byte check must pass.
 cargo build --offline --release --manifest-path bench_sync/Cargo.toml
 cargo test --offline --manifest-path bench_sync/Cargo.toml -q
 ./bench_sync/target/release/bench_sync --workload edit --seed 1 --seconds 4 --trace 1 > "$out/bench_sync.txt"
 grep -Eq '^# trace\.dropped_spans +0\.0000 ' "$out/bench_sync.txt"
+./bench_sync/target/release/bench_sync --workload bulk --seed 1 --seconds 4 --trace 0 > "$out/bench_sync_bulk.txt"
+grep -q '^{"correct": true, "attempted": [1-9][0-9]*, "failed": 0, ' "$out/bench_sync_bulk.txt"
 
 echo "CI OK"

@@ -186,7 +186,7 @@ impl CloudStore for S3Cloud {
             .header("Host", self.client.addr());
         let resp = self.send(&req, CloudOp::Download, path)?;
         match resp.status {
-            200 => Ok(Bytes::copy_from_slice(&resp.body)),
+            200 => Ok(Bytes::from(resp.body)),
             _ => Err(self.status_error(&resp, CloudOp::Download, path)),
         }
     }

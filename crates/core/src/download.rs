@@ -21,7 +21,7 @@ use unidrive_meta::{block_path, BlockRef, SegmentId};
 use unidrive_obs::{Obs, SpanGuard, SpanId};
 use unidrive_sim::{Runtime, Time};
 
-use crate::engine::{EngineParams, JobDesc, TransferEngine, TransferPolicy, WireOp};
+use crate::engine::{Deferred, EngineParams, JobDesc, TransferEngine, TransferPolicy, WireOp};
 use crate::plan::{DataPlaneConfig, MAX_BLOCK_BOUNCES};
 use crate::probe::BandwidthProbe;
 
@@ -123,12 +123,39 @@ struct FetchState {
     /// directory reads as `NotFound`, not `Unavailable`) would
     /// otherwise be re-queued forever.
     bounces: HashMap<u16, u32>,
-    /// Blocks received.
+    /// Blocks received; emptied once the segment is done.
     have: HashMap<u16, Bytes>,
     /// Decode attempts that failed the content hash (corrupt blocks).
     integrity_retries: u32,
+    /// A decode of `k` gathered blocks is running off the policy lock.
+    decoding: bool,
     done: bool,
     exhausted: bool,
+}
+
+impl FetchState {
+    fn new(f: &SegmentFetch, n_clouds: usize) -> Self {
+        let mut candidates = vec![Vec::new(); n_clouds];
+        for b in &f.blocks {
+            if (b.cloud as usize) < n_clouds {
+                candidates[b.cloud as usize].push(b.index);
+            }
+        }
+        FetchState {
+            id: f.id,
+            len: f.len as usize,
+            candidates,
+            requested: HashSet::new(),
+            over_requests: 0,
+            inflight: HashMap::new(),
+            bounces: HashMap::new(),
+            have: HashMap::new(),
+            integrity_retries: 0,
+            decoding: false,
+            done: false,
+            exhausted: false,
+        }
+    }
 }
 
 struct DownloadState {
@@ -173,60 +200,11 @@ pub fn run_download_in(
     parent: Option<SpanId>,
 ) -> DownloadReport {
     let started = rt.now();
-    let n_clouds = clouds.len();
-    let k = codec.k();
-
     let mut batch_guard = config.obs.span("engine.batch", parent);
     batch_guard.attr_str("label", "download");
     batch_guard.attr_u64("segments", fetches.len() as u64);
     let batch_span = batch_guard.id();
-
-    let st = DownloadState {
-        fetches: fetches
-            .iter()
-            .map(|f| {
-                let mut candidates = vec![Vec::new(); n_clouds];
-                for b in &f.blocks {
-                    if (b.cloud as usize) < n_clouds {
-                        candidates[b.cloud as usize].push(b.index);
-                    }
-                }
-                FetchState {
-                    id: f.id,
-                    len: f.len as usize,
-                    candidates,
-                    requested: HashSet::new(),
-                    over_requests: 0,
-                    inflight: HashMap::new(),
-                    bounces: HashMap::new(),
-                    have: HashMap::new(),
-                    integrity_retries: 0,
-                    done: false,
-                    exhausted: false,
-                }
-            })
-            .collect(),
-        cloud_alive: vec![true; n_clouds],
-        finished: fetches.is_empty(),
-        timeline: Vec::new(),
-        batch_guard: Some(batch_guard),
-    };
-
-    let mut policy = DownloadPolicy {
-        st,
-        segments: HashMap::new(),
-        failures: Vec::new(),
-        codec: Arc::clone(codec),
-        probe: Arc::clone(probe),
-        obs: config.obs.clone(),
-        k,
-        probing: config.probing,
-        batch_span,
-    };
-    // Handle the possibility that nothing is fetchable at all — the
-    // batch must be born finished then (engine deadlock-safety
-    // invariant: no work, nothing in flight, done).
-    finish_check(&mut policy.st, k, &mut policy.failures);
+    let policy = DownloadPolicy::new(codec, probe, config, &fetches, clouds.len(), batch_guard);
 
     let params = EngineParams {
         connections_per_cloud: config.connections_per_cloud,
@@ -262,6 +240,134 @@ struct DownloadPolicy {
     k: usize,
     probing: bool,
     batch_span: Option<SpanId>,
+    /// Decode queued by the last completion, for the engine to run off
+    /// the lock.
+    deferred: Option<Deferred<DownloadPolicy>>,
+}
+
+impl DownloadPolicy {
+    fn new(
+        codec: &Arc<Codec>,
+        probe: &Arc<BandwidthProbe>,
+        config: &DataPlaneConfig,
+        fetches: &[SegmentFetch],
+        n_clouds: usize,
+        batch_guard: SpanGuard,
+    ) -> Self {
+        let batch_span = batch_guard.id();
+        let mut policy = DownloadPolicy {
+            st: DownloadState {
+                fetches: fetches
+                    .iter()
+                    .map(|f| FetchState::new(f, n_clouds))
+                    .collect(),
+                cloud_alive: vec![true; n_clouds],
+                finished: fetches.is_empty(),
+                timeline: Vec::new(),
+                batch_guard: Some(batch_guard),
+            },
+            segments: HashMap::new(),
+            failures: Vec::new(),
+            codec: Arc::clone(codec),
+            probe: Arc::clone(probe),
+            obs: config.obs.clone(),
+            k: codec.k(),
+            probing: config.probing,
+            batch_span,
+            deferred: None,
+        };
+        // Handle the possibility that nothing is fetchable at all — the
+        // batch must be born finished then (engine deadlock-safety
+        // invariant: no work, nothing in flight, done).
+        finish_check(&mut policy.st, policy.k, &mut policy.failures);
+        policy
+    }
+
+    /// Once segment `fi` holds `k` blocks and no decode of it is
+    /// running, marks it decoding and queues the decode of its sorted
+    /// first `k` blocks; the applied result re-checks the batch.
+    /// Otherwise re-checks whether the batch has settled.
+    fn decode_or_settle(&mut self, fi: usize, now: Time) {
+        let fetch = &mut self.st.fetches[fi];
+        if fetch.decoding || fetch.have.len() < self.k {
+            finish_check(&mut self.st, self.k, &mut self.failures);
+            return;
+        }
+        fetch.decoding = true;
+        // Sort for determinism: HashMap iteration order would make the
+        // chosen k-subset (and thus replayed experiment traces) vary
+        // run to run. The clones share the blocks' buffers.
+        let mut indices: Vec<u16> = fetch.have.keys().copied().collect();
+        indices.sort_unstable();
+        indices.truncate(self.k);
+        let shares: Vec<(usize, Bytes)> = indices
+            .iter()
+            .map(|i| (*i as usize, fetch.have[i].clone()))
+            .collect();
+        let (id, len, got) = (fetch.id, fetch.len, fetch.have.len());
+        let codec = Arc::clone(&self.codec);
+        let obs = self.obs.clone();
+        let parent = self.batch_span;
+        self.deferred = Some(Box::new(move || {
+            let mut span = obs.span("download.decode", parent);
+            span.attr_u64("bytes", len as u64);
+            let outcome = decode_segment(&codec, id, len, &shares, got);
+            span.attr_bool("ok", outcome.is_ok());
+            span.end();
+            Box::new(move |p: &mut DownloadPolicy| p.apply_decode(fi, &indices, outcome, now))
+        }));
+    }
+
+    /// Applies a finished decode of segment `fi` from blocks `used`.
+    /// `now` is when its `k`-th block landed.
+    fn apply_decode(
+        &mut self,
+        fi: usize,
+        used: &[u16],
+        outcome: Result<Bytes, DownloadError>,
+        now: Time,
+    ) {
+        let fetch = &mut self.st.fetches[fi];
+        fetch.decoding = false;
+        match outcome {
+            Ok(plain) => {
+                fetch.done = true;
+                self.st.timeline.push((now, fetch.id));
+                self.segments.insert(fetch.id, plain);
+            }
+            Err(e @ DownloadError::IntegrityMismatch { .. }) => {
+                // One of the k blocks the decode used is corrupt (we
+                // cannot tell which): discard exactly that combination
+                // and keep any other gathered blocks; over-provisioned
+                // spares exist precisely for moments like this. The
+                // decode re-queues right away if enough spares are
+                // already in hand. Give up after a few combinations.
+                fetch.integrity_retries += 1;
+                if fetch.integrity_retries > 3 {
+                    fetch.done = true;
+                    self.failures.push(e);
+                } else {
+                    for idx in used {
+                        fetch.have.remove(idx);
+                        for c in &mut fetch.candidates {
+                            c.retain(|i| i != idx);
+                        }
+                    }
+                }
+            }
+            Err(e) => {
+                fetch.done = true;
+                self.failures.push(e);
+            }
+        }
+        if fetch.done {
+            // The segment is settled: its blocks are dead weight now.
+            fetch.have.clear();
+            finish_check(&mut self.st, self.k, &mut self.failures);
+        } else {
+            self.decode_or_settle(fi, now);
+        }
+    }
 }
 
 impl TransferPolicy for DownloadPolicy {
@@ -293,7 +399,6 @@ impl TransferPolicy for DownloadPolicy {
     fn on_success(&mut self, cloud: CloudId, job: Job, data: Option<Bytes>, now: Time) {
         let data = data.expect("download job completed without data");
         let fetch = &mut self.st.fetches[job.fetch];
-        let seg_id = fetch.id;
         if fetch.inflight.get(&job.index) == Some(&cloud.0) {
             fetch.inflight.remove(&job.index);
         }
@@ -311,46 +416,15 @@ impl TransferPolicy for DownloadPolicy {
             finish_check(&mut self.st, self.k, &mut self.failures);
             return;
         }
-        fetch.have.entry(job.index).or_insert(data);
-        while !fetch.done && fetch.have.len() >= self.k {
-            match decode_segment(&self.codec, fetch, self.k) {
-                Ok(plain) => {
-                    fetch.done = true;
-                    self.st.timeline.push((now, seg_id));
-                    self.segments.insert(seg_id, plain);
-                }
-                Err(e @ DownloadError::IntegrityMismatch { .. }) => {
-                    // One of the k blocks decode just used is corrupt
-                    // (we cannot tell which): discard exactly that
-                    // combination — the sorted first k, matching
-                    // decode_segment's choice — and keep any other
-                    // gathered blocks; over-provisioned spares exist
-                    // precisely for moments like this. Looping retries
-                    // the decode right away if enough spares are
-                    // already in hand. Give up after a few combinations.
-                    fetch.integrity_retries += 1;
-                    if fetch.integrity_retries > 3 {
-                        fetch.done = true;
-                        self.failures.push(e);
-                    } else {
-                        let mut used: Vec<u16> = fetch.have.keys().copied().collect();
-                        used.sort_unstable();
-                        used.truncate(self.k);
-                        for idx in used {
-                            fetch.have.remove(&idx);
-                            for c in &mut fetch.candidates {
-                                c.retain(|i| *i != idx);
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    fetch.done = true;
-                    self.failures.push(e);
-                }
-            }
+        // A late block (a spare or a tail duplicate) for a segment that
+        // is already settled is of no use: drop it now rather than hold
+        // it until the batch ends.
+        if fetch.done {
+            finish_check(&mut self.st, self.k, &mut self.failures);
+            return;
         }
-        finish_check(&mut self.st, self.k, &mut self.failures);
+        fetch.have.entry(job.index).or_insert(data);
+        self.decode_or_settle(job.fetch, now);
     }
 
     fn on_failure(&mut self, cloud: CloudId, job: Job, error: CloudError, _now: Time) {
@@ -376,34 +450,34 @@ impl TransferPolicy for DownloadPolicy {
         }
         finish_check(&mut self.st, self.k, &mut self.failures);
     }
+
+    fn take_deferred(&mut self) -> Option<Deferred<Self>> {
+        self.deferred.take()
+    }
 }
 
+/// Reconstructs segment `id` (`len` plaintext bytes) from `shares` and
+/// verifies it against its content hash. `got` is how many blocks the
+/// fetch held, for the error report.
 fn decode_segment(
     codec: &Codec,
-    fetch: &FetchState,
-    k: usize,
+    id: SegmentId,
+    len: usize,
+    shares: &[(usize, Bytes)],
+    got: usize,
 ) -> Result<Bytes, DownloadError> {
-    // Sort for determinism: HashMap iteration order would make the
-    // chosen k-subset (and thus replayed experiment traces) vary run to
-    // run.
-    let mut indices: Vec<u16> = fetch.have.keys().copied().collect();
-    indices.sort_unstable();
-    let shares: Vec<(usize, &[u8])> = indices
-        .iter()
-        .take(k)
-        .map(|i| (*i as usize, fetch.have[i].as_ref()))
-        .collect();
+    let views: Vec<(usize, &[u8])> = shares.iter().map(|(i, b)| (*i, b.as_ref())).collect();
     let plain = codec
-        .decode(&shares, fetch.len)
+        .decode(&views, len)
         .map_err(|_| DownloadError::NotEnoughBlocks {
-            segment: fetch.id,
-            got: fetch.have.len(),
-            need: k,
+            segment: id,
+            got,
+            need: shares.len(),
         })?;
     // Verify content addressing end to end.
     let digest = unidrive_crypto::Sha1::digest(&plain);
-    if digest != fetch.id.0 {
-        return Err(DownloadError::IntegrityMismatch { segment: fetch.id });
+    if digest != id.0 {
+        return Err(DownloadError::IntegrityMismatch { segment: id });
     }
     Ok(Bytes::from(plain))
 }
@@ -423,7 +497,7 @@ fn next_job(
     let my_speed = probe.speed(unidrive_cloud::CloudId(cloud));
     for fi in 0..st.fetches.len() {
         let fetch = &st.fetches[fi];
-        if fetch.done || fetch.exhausted {
+        if fetch.done || fetch.exhausted || fetch.decoding {
             continue;
         }
         let has_candidate = |c: usize, fetch: &FetchState| {
@@ -494,7 +568,7 @@ fn finish_check(st: &mut DownloadState, k: usize, failures: &mut Vec<DownloadErr
         if fetch.done || fetch.exhausted {
             continue;
         }
-        if !fetch.inflight.is_empty() {
+        if fetch.decoding || !fetch.inflight.is_empty() {
             all_settled = false;
             continue;
         }
@@ -528,10 +602,10 @@ mod tests {
     use super::*;
     use crate::plan::SegmentData;
     use crate::upload::{run_upload, FileUpload};
-    use unidrive_cloud::{CloudStore, SimCloud, SimCloudConfig};
+    use unidrive_cloud::{CloudStore, MemCloud, SimCloud, SimCloudConfig};
     use unidrive_crypto::Sha1;
     use unidrive_erasure::RedundancyConfig;
-    use unidrive_sim::SimRuntime;
+    use unidrive_sim::{RealRuntime, SimRuntime};
 
     struct Rig {
         sim: Arc<SimRuntime>,
@@ -823,6 +897,195 @@ mod tests {
             report.failed[0],
             DownloadError::NotEnoughBlocks { .. }
         ));
+    }
+
+    /// Paper redundancy (N = 5, k = 3, K_r = 3, K_s = 2) without a
+    /// runtime: for driving the policy or its helpers directly.
+    fn paper_codec() -> (Arc<Codec>, DataPlaneConfig, Arc<BandwidthProbe>) {
+        let config =
+            DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).unwrap(), 64 * 1024);
+        let codec = Arc::new(Codec::for_config(&config.redundancy).unwrap());
+        (codec, config, Arc::new(BandwidthProbe::new(5, 1e6)))
+    }
+
+    /// A policy for one 30,000-byte segment whose blocks `0..n` sit on
+    /// clouds `i % 5`, to drive without a runtime. Returns it with the
+    /// plaintext and the blocks.
+    fn one_segment_policy(n: u16) -> (DownloadPolicy, Vec<u8>, Vec<Bytes>) {
+        let (codec, config, probe) = paper_codec();
+        let data: Vec<u8> = (0..30_000u32).map(|i| (i * 7) as u8).collect();
+        let indices: Vec<usize> = (0..usize::from(n)).collect();
+        let blocks = codec.encode_blocks(&data, &indices);
+        let fetch = SegmentFetch {
+            id: SegmentId(Sha1::digest(&data)),
+            len: data.len() as u64,
+            blocks: (0..n)
+                .map(|i| BlockRef {
+                    index: i,
+                    cloud: i % 5,
+                })
+                .collect(),
+        };
+        let guard = config.obs.span("engine.batch", None);
+        let policy = DownloadPolicy::new(&codec, &probe, &config, &[fetch], 5, guard);
+        (policy, data, blocks)
+    }
+
+    /// Block `i` of [`one_segment_policy`]'s segment lands.
+    fn land(p: &mut DownloadPolicy, i: usize, block: &Bytes) {
+        let job = Job {
+            fetch: 0,
+            index: i as u16,
+        };
+        let now = Time::from_nanos(0);
+        p.on_success(CloudId(i % 5), job, Some(block.clone()), now);
+    }
+
+    #[test]
+    fn decoded_segment_frees_its_blocks_and_drops_late_arrivals() {
+        let (mut p, data, blocks) = one_segment_policy(4);
+        for (i, block) in blocks.iter().enumerate().take(3) {
+            land(&mut p, i, block);
+        }
+        let decode = p.take_deferred().expect("the k-th block queues a decode");
+        assert!(p.st.fetches[0].decoding);
+        decode()(&mut p);
+        assert_eq!(p.segments[&p.st.fetches[0].id], data);
+        assert!(p.st.fetches[0].done);
+        assert!(
+            p.st.fetches[0].have.is_empty(),
+            "a decoded segment keeps its blocks"
+        );
+        // A spare landing after the decode is dropped, not kept.
+        land(&mut p, 3, &blocks[3]);
+        assert!(p.st.fetches[0].have.is_empty(), "a late block was kept");
+        assert!(p.take_deferred().is_none());
+    }
+
+    #[test]
+    fn integrity_mismatch_discards_the_decoded_blocks_and_redecodes_from_spares() {
+        let (mut p, data, mut blocks) = one_segment_policy(6);
+        let mut bad = blocks[0].to_vec();
+        bad[0] ^= 0xFF;
+        blocks[0] = Bytes::from(bad);
+        for (i, block) in blocks.iter().enumerate().take(3) {
+            land(&mut p, i, block);
+        }
+        let first = p.take_deferred().expect("the k-th block queues a decode");
+        // Three spares land while blocks 0-2 decode: no second decode.
+        for (i, block) in blocks.iter().enumerate().skip(3) {
+            land(&mut p, i, block);
+            assert!(p.take_deferred().is_none(), "a second decode was queued");
+        }
+        first()(&mut p);
+        let mut left: Vec<u16> = p.st.fetches[0].have.keys().copied().collect();
+        left.sort_unstable();
+        assert_eq!(left, [3, 4, 5], "only the decoded blocks are discarded");
+        let second = p
+            .take_deferred()
+            .expect("k spares in hand re-queue the decode");
+        second()(&mut p);
+        assert_eq!(p.segments[&p.st.fetches[0].id], data);
+        assert!(p.failures.is_empty(), "{:?}", p.failures);
+    }
+
+    #[test]
+    fn a_decoding_fetch_keeps_the_batch_open() {
+        // Nothing in flight and no candidates left: without the decode
+        // this fetch would be stuck. While it decodes it is not.
+        let (codec, _, _) = paper_codec();
+        let segment = SegmentFetch {
+            id: SegmentId(Sha1::digest(b"decoding")),
+            len: 30_000,
+            blocks: Vec::new(),
+        };
+        let mut fetch = FetchState::new(&segment, 5);
+        fetch.decoding = true;
+        for i in 0..3u16 {
+            fetch
+                .have
+                .insert(i, Bytes::from(vec![0u8; codec.block_len(30_000)]));
+        }
+        let mut st = DownloadState {
+            fetches: vec![fetch],
+            cloud_alive: vec![true; 5],
+            finished: false,
+            timeline: Vec::new(),
+            batch_guard: None,
+        };
+        let mut failures = Vec::new();
+        finish_check(&mut st, 3, &mut failures);
+        assert!(!st.finished, "the batch finished while a segment decodes");
+        assert!(
+            failures.is_empty(),
+            "a decoding segment reported {failures:?}"
+        );
+        assert!(!st.fetches[0].exhausted);
+    }
+
+    #[test]
+    fn real_clock_decodes_off_the_lock_keep_every_segment_intact() {
+        // On the real clock other workers report blocks while a
+        // segment decodes. 16 segments over 25 connections: six hold a
+        // corrupt block among all n blocks, the other ten list only k
+        // blocks, so once those land a decoding segment has nothing
+        // left in flight or to request.
+        let (codec, mut config, _) = paper_codec();
+        config.connections_per_cloud = 5;
+        let mems: Vec<Arc<MemCloud>> = (0..5)
+            .map(|i| Arc::new(MemCloud::new(format!("m{i}"))))
+            .collect();
+        let clouds = CloudSet::new(
+            mems.iter()
+                .map(|m| Arc::clone(m) as Arc<dyn CloudStore>)
+                .collect(),
+        );
+        let all: Vec<usize> = (0..codec.n()).collect();
+        let mut fetches = Vec::new();
+        let mut originals = HashMap::new();
+        for s in 0..16u8 {
+            let data: Vec<u8> = (0..96_000u32)
+                .map(|i| (i as u8).wrapping_mul(s | 1).wrapping_add(s))
+                .collect();
+            let id = SegmentId(Sha1::digest(&data));
+            let corrupt = s % 3 == 0;
+            let first = usize::from(s) % 7;
+            let mut refs = Vec::new();
+            for (i, block) in codec.encode_blocks(&data, &all).into_iter().enumerate() {
+                let mut stored = block.to_vec();
+                if corrupt && i == usize::from(s) % 3 {
+                    stored[0] ^= 0xFF;
+                }
+                let cloud = i % 5;
+                mems[cloud]
+                    .upload(&block_path(&id, i as u16), Bytes::from(stored))
+                    .unwrap();
+                if !corrupt && !(first..first + 3).contains(&i) {
+                    continue;
+                }
+                refs.push(BlockRef {
+                    index: i as u16,
+                    cloud: cloud as u16,
+                });
+            }
+            fetches.push(SegmentFetch {
+                id,
+                len: data.len() as u64,
+                blocks: refs,
+            });
+            originals.insert(id, data);
+        }
+        let rt = RealRuntime::handle();
+        for run in 0..20 {
+            let probe = Arc::new(BandwidthProbe::new(5, 1e6));
+            let report = run_download(&rt, &clouds, &codec, &config, &probe, fetches.clone());
+            assert!(report.failed.is_empty(), "run {run}: {:?}", report.failed);
+            assert_eq!(report.segments.len(), originals.len(), "run {run}");
+            assert_eq!(report.timeline.len(), originals.len(), "run {run}");
+            for (id, data) in &originals {
+                assert_eq!(report.segments[id], *data, "run {run}: segment {id}");
+            }
+        }
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! The engine owns everything the five former hand-rolled loops
 //! duplicated: the worker pool (one actor per cloud connection),
 //! a traced [`Retry`] around every wire call, `unidrive-obs`
-//! counters and `engine.*` spans, feeding the [`BandwidthProbe`], and
-//! idle parking. Workers park on a [`Notifier`] (an eventcount)
-//! instead of polling: each completion or failure broadcasts, so an
-//! idle connection re-polls its policy only when the schedulable state
-//! may actually have changed — no timer churn in the simulator, no
-//! busy-wait under wall clock.
+//! counters and `engine.*` spans, feeding the [`BandwidthProbe`], idle
+//! parking, and running CPU work a completion defers (a download's
+//! decode) off the policy lock. Workers park on a [`Notifier`] (an
+//! eventcount) instead of polling: each completion or failure
+//! broadcasts, so an idle connection re-polls its policy only when the
+//! schedulable state may actually have changed — no timer churn in the
+//! simulator, no busy-wait under wall clock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -77,19 +78,29 @@ pub struct JobDesc<T> {
     pub op: WireOp,
 }
 
+/// CPU work a completion hands back to the engine. The worker that
+/// reported the completion runs the outer closure *outside* the policy
+/// lock; it returns the step that applies the result, which runs
+/// *under* the lock.
+pub type Deferred<P> = Box<dyn FnOnce() -> Box<dyn FnOnce(&mut P) + Send> + Send>;
+
 /// The scheduling brain driven by the [`TransferEngine`].
 ///
-/// All methods are called under the engine's policy lock; they must not
-/// block (no wire calls, no sleeps) — heavy work belongs in the
-/// [`WireOp`] payload closure or in the caller.
+/// Lock discipline: every method runs under the engine's policy lock,
+/// so while one runs no other worker can report a block or take a new
+/// one. Methods must not block (no wire calls, no sleeps) and must not
+/// do heavy CPU work. That work goes in the [`WireOp::Upload`] payload
+/// closure (block encoding) or in a [`Deferred`] step handed out by
+/// [`take_deferred`](TransferPolicy::take_deferred) (segment decoding).
 ///
-/// Deadlock-safety invariant: whenever nothing is in flight and
-/// `next_job` would return `None` for every cloud, `is_done` must be
-/// `true` — the engine parks idle workers until a completion notifies
-/// them, so a policy that is "not done" yet hands out no work with
-/// nothing in flight would park everyone forever. Policies uphold this
-/// by re-deriving their finished flag after every completion (and once
-/// at construction, for empty batches).
+/// Deadlock-safety invariant: whenever nothing is in flight, no
+/// deferred work is outstanding, and `next_job` would return `None` for
+/// every cloud, `is_done` must be `true` — the engine parks idle
+/// workers until a completion notifies them, so a policy that is "not
+/// done" yet hands out no work with nothing in flight would park
+/// everyone forever. Policies uphold this by re-deriving their finished
+/// flag after every completion and applied deferred step (and once at
+/// construction, for empty batches).
 pub trait TransferPolicy: Send + 'static {
     /// Per-job bookkeeping round-tripped through the engine.
     type Token: Send;
@@ -107,6 +118,16 @@ pub trait TransferPolicy: Send + 'static {
 
     /// A job failed after retries.
     fn on_failure(&mut self, cloud: CloudId, token: Self::Token, error: CloudError, now: Time);
+
+    /// Takes the CPU work queued by the last `on_success`, `on_failure`
+    /// or applied [`Deferred`] step. The reporting worker runs it off
+    /// the lock, applies its result under the lock, and asks again
+    /// until this returns `None`. Until its result is applied, queued
+    /// work counts as unsettled: the policy must not report done. The
+    /// default queues nothing.
+    fn take_deferred(&mut self) -> Option<Deferred<Self>> {
+        None
+    }
 }
 
 /// Engine wiring shared by every policy.
@@ -617,16 +638,147 @@ fn worker_loop<P: TransferPolicy>(
                 }
             }
         }
-        {
+        let mut deferred = {
             let mut p = policy.lock();
             match result {
                 Ok(data) => p.on_success(cloud_id, token, data, now),
                 Err(e) => p.on_failure(cloud_id, token, e, now),
             }
+            p.take_deferred()
+        };
+        // Deferred CPU work runs here, off the lock. Wake the parked
+        // connections first so they pull new blocks meanwhile.
+        while let Some(work) = deferred {
+            signal.notify_all();
+            let apply = work();
+            let mut p = policy.lock();
+            apply(&mut p);
+            deferred = p.take_deferred();
         }
         // The schedulable state changed: wake every parked connection
         // to re-poll (and to observe is_done on the final completion).
         signal.notify_all();
     }
     wspan.attr_u64("jobs", jobs_run);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    use unidrive_cloud::{CloudStore, MemCloud};
+    use unidrive_sim::RealRuntime;
+
+    /// Two uploads on one cloud with two connections. The first job's
+    /// payload waits until the other worker has found nothing to do
+    /// (and parks); the second job is released by the first's
+    /// completion, whose deferred work then waits for the parked
+    /// worker to be handed it, and whose applied result queues one more
+    /// step. Every wait is bounded.
+    struct Handoff {
+        handed: u16,
+        released: bool,
+        completed: u16,
+        idle_tx: Sender<()>,
+        idle_rx: Option<Receiver<()>>,
+        handed_tx: Sender<()>,
+        handed_rx: Option<Receiver<()>>,
+        saw_handoff: Option<bool>,
+        chained: bool,
+        deferred: Option<Deferred<Handoff>>,
+    }
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    impl TransferPolicy for Handoff {
+        type Token = u16;
+
+        fn next_job(&mut self, _cloud: CloudId) -> Option<JobDesc<u16>> {
+            if self.handed == 2 || (self.handed == 1 && !self.released) {
+                let _ = self.idle_tx.send(());
+                return None;
+            }
+            let index = self.handed;
+            self.handed += 1;
+            let payload: Box<dyn FnOnce() -> Bytes + Send> = if index == 0 {
+                let idle = self.idle_rx.take().unwrap();
+                Box::new(move || {
+                    let _ = idle.recv_timeout(WAIT);
+                    Bytes::from_static(b"x")
+                })
+            } else {
+                let _ = self.handed_tx.send(());
+                Box::new(|| Bytes::from_static(b"x"))
+            };
+            Some(JobDesc {
+                token: index,
+                index,
+                extra: false,
+                parent_span: None,
+                op: WireOp::Upload {
+                    path: format!("b{index}"),
+                    payload,
+                },
+            })
+        }
+
+        fn is_done(&self) -> bool {
+            self.completed == 2 && self.saw_handoff.is_some()
+        }
+
+        fn on_success(&mut self, _: CloudId, index: u16, _: Option<Bytes>, _: Time) {
+            self.completed += 1;
+            if index == 0 {
+                self.released = true;
+                let rx = self.handed_rx.take().unwrap();
+                self.deferred = Some(Box::new(move || {
+                    let ok = rx.recv_timeout(WAIT).is_ok();
+                    Box::new(move |p: &mut Handoff| {
+                        p.saw_handoff = Some(ok);
+                        p.deferred =
+                            Some(Box::new(|| Box::new(|p: &mut Handoff| p.chained = true)));
+                    })
+                }));
+            }
+        }
+
+        fn on_failure(&mut self, _: CloudId, _: u16, e: CloudError, _: Time) {
+            panic!("upload to a MemCloud failed: {e}");
+        }
+
+        fn take_deferred(&mut self) -> Option<Deferred<Self>> {
+            self.deferred.take()
+        }
+    }
+
+    #[test]
+    fn deferred_work_runs_off_the_lock_while_others_take_jobs() {
+        let rt = RealRuntime::handle();
+        let clouds = CloudSet::new(vec![Arc::new(MemCloud::new("m")) as Arc<dyn CloudStore>]);
+        let (idle_tx, idle_rx) = channel();
+        let (handed_tx, handed_rx) = channel();
+        let policy = Handoff {
+            handed: 0,
+            released: false,
+            completed: 0,
+            idle_tx,
+            idle_rx: Some(idle_rx),
+            handed_tx,
+            handed_rx: Some(handed_rx),
+            saw_handoff: None,
+            chained: false,
+            deferred: None,
+        };
+        let mut params = EngineParams::new("handoff");
+        params.connections_per_cloud = 2;
+        let policy = TransferEngine::start(&rt, &clouds, params, policy).join();
+        assert_eq!(
+            policy.saw_handoff,
+            Some(true),
+            "no worker took a job while deferred work ran"
+        );
+        assert_eq!(policy.completed, 2);
+        assert!(policy.chained, "work queued by an applied step never ran");
+    }
 }

@@ -3,10 +3,12 @@
 //! API-compatible (for the subset this workspace uses) with the
 //! `bytes` crate: `Bytes::new/from/from_static/copy_from_slice`,
 //! zero-copy `slice(range)`, `Deref<Target = [u8]>`, and conversions
-//! from `Vec<u8>` and iterators. Backed by an `Arc<[u8]>` — or a
-//! borrowed `&'static [u8]` for [`Bytes::from_static`] — plus a
+//! from `Vec<u8>` and iterators. Backed by an `Arc<Box<[u8]>>` — or
+//! a borrowed `&'static [u8]` for [`Bytes::from_static`] — plus a
 //! window, so clones and sub-slices are O(1) and never copy the
-//! payload.
+//! payload. The box is the vector's own heap buffer, so
+//! `Bytes::from(Vec<u8>)` takes it over without copying (an
+//! `Arc<[u8]>` would have to copy it behind its refcount header).
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -15,7 +17,7 @@ use std::sync::Arc;
 /// slice (no allocation, no refcount traffic).
 #[derive(Clone)]
 enum Data {
-    Shared(Arc<[u8]>),
+    Shared(Arc<Box<[u8]>>),
     Static(&'static [u8]),
 }
 
@@ -58,13 +60,10 @@ impl Bytes {
         Bytes::from_vec(data.to_vec())
     }
 
+    /// Takes over `v`'s buffer. `into_boxed_slice` reallocates only
+    /// to shed spare capacity, and never when `len == capacity`.
     fn from_vec(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: Data::Shared(v.into()),
-            start: 0,
-            end,
-        }
+        Bytes::from(v.into_boxed_slice())
     }
 
     /// Number of bytes in the (windowed) buffer.
@@ -154,7 +153,12 @@ impl From<&[u8]> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
-        Bytes::from_vec(v.into_vec())
+        let end = v.len();
+        Bytes {
+            data: Data::Shared(Arc::new(v)),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -253,6 +257,14 @@ mod tests {
             (Data::Shared(a), Data::Shared(c)) => assert!(Arc::ptr_eq(a, c)),
             _ => panic!("vec-backed Bytes must stay Shared"),
         }
+    }
+
+    #[test]
+    fn from_vec_keeps_the_vec_heap_buffer() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert!(std::ptr::eq(ptr, b.as_slice().as_ptr()));
     }
 
     #[test]

@@ -189,6 +189,7 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
             }
             "engine.batch" => assert_eq!(parent_name(sp), "sync.round"),
             "engine.worker" => assert_eq!(parent_name(sp), "engine.batch"),
+            "download.decode" => assert_eq!(parent_name(sp), "engine.batch"),
             "wire.attempt" => assert_eq!(parent_name(sp), "engine.block"),
             "lock.acquire" | "meta.read" | "meta.merge" | "meta.commit" => {
                 assert_eq!(parent_name(sp), "sync.round");
